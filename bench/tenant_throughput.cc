@@ -80,10 +80,13 @@ void Run() {
     return names;
   };
 
+  // Friendly traffic: neither the server-wide bound nor a tenant's quota
+  // ever sheds, so the whole trace can be queued at once.
   serve::ServeOptions options;
   options.max_batch = 16;
+  options.queue_capacity = trace_len;
   serve::TenantQuota quota;
-  quota.queue_capacity = trace_len;  // friendly traffic: admission never sheds
+  quota.queue_capacity = trace_len;
   quota.batch_quantum = 4;
 
   // ---- Leg 1: tenant-count scaling, distinct snapshots ---------------------

@@ -16,7 +16,7 @@ void EnsureCorpusFormats() { synth::RegisterSyntheticCorpusDriver(); }
 
 }  // namespace
 
-const char* Version() { return "fieldswap 1.1"; }
+const char* Version() { return "fieldswap 1.2"; }
 
 SequenceLabelingModel NewModel(const std::string& domain,
                                const SequenceModelConfig& config) {

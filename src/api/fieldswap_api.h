@@ -62,9 +62,10 @@ namespace api {
 /// Library version, bumped when the supported surface changes shape.
 const char* Version();
 
-/// Fresh untrained model for a built-in synthetic domain ("invoices",
-/// "paystubs", "utility_bills"). Aborts on an unknown domain (SpecByName
-/// lists the valid names in its message).
+/// Fresh untrained model for a built-in synthetic domain: "fara",
+/// "fcc_forms", "brokerage_statements", "earnings", "loan_payments" or
+/// "invoices". Aborts on an unknown domain (SpecByName lists the valid
+/// names in its message).
 SequenceLabelingModel NewModel(const std::string& domain,
                                const SequenceModelConfig& config = {});
 
@@ -159,7 +160,8 @@ std::unique_ptr<doc::CorpusReader> GenerateCorpusStream(
     const std::string& id_prefix = "doc");
 
 /// Wraps a trained model into a hot-swappable snapshot and returns a
-/// batched ExtractionServer ready for traffic.
+/// batched ExtractionServer: a default-tenant facade over the engine that
+/// ServeTenants returns, on a private one-tenant registry (serve/server.h).
 std::unique_ptr<serve::ExtractionServer> Serve(
     SequenceLabelingModel model, serve::ServeOptions options = {},
     std::string version = "");

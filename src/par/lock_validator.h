@@ -70,7 +70,7 @@ namespace util {
 class OrderedMutex {
  public:
   /// `name` must outlive the mutex and should be globally unique; the
-  /// convention is the qualified member name ("ExtractionServer::mu_"),
+  /// convention is the qualified member name ("MultiTenantServer::mu_"),
   /// matching the identifiers in tools/lock_order.txt.
   explicit OrderedMutex(const char* name) : name_(name) {}
   OrderedMutex(const OrderedMutex&) = delete;

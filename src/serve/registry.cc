@@ -54,17 +54,11 @@ bool ModelRegistry::Rollback(const std::string& tenant, uint64_t version) {
 
 std::shared_ptr<const ModelSnapshot> ModelRegistry::Active(
     const std::string& tenant) const {
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.lineage.empty()) return nullptr;
-  return it->second.lineage[it->second.active_index].snapshot;
+  return ActiveEntry(tenant).snapshot;
 }
 
 uint64_t ModelRegistry::ActiveVersion(const std::string& tenant) const {
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.lineage.empty()) return 0;
-  return it->second.lineage[it->second.active_index].version;
+  return ActiveEntry(tenant).version;
 }
 
 PublishedVersion ModelRegistry::ActiveEntry(const std::string& tenant) const {

@@ -1,22 +1,15 @@
 #ifndef FIELDSWAP_SERVE_SERVER_H_
 #define FIELDSWAP_SERVE_SERVER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "doc/document.h"
-#include "obs/timing.h"
-#include "par/lock_validator.h"
 #include "serve/cache.h"
 #include "serve/snapshot.h"
-#include "util/thread_annotations.h"
 
 namespace fieldswap {
 namespace serve {
@@ -24,8 +17,9 @@ namespace serve {
 /// Why a request did or did not produce spans.
 enum class ServeStatus {
   kOk = 0,
-  /// The admission queue was at capacity when the request arrived. The
-  /// server never blocks a submitter; shed load is reported immediately.
+  /// The server-wide admission queue (ServeOptions.queue_capacity) was at
+  /// capacity when the request arrived. The server never blocks a
+  /// submitter; shed load is reported immediately.
   kRejectedQueueFull,
   /// The request's deadline expired before a batch picked it up.
   kRejectedDeadline,
@@ -63,10 +57,11 @@ struct ExtractResponse {
   double latency_ms = 0;
   /// Actionable description for rejected requests, empty on kOk.
   std::string error;
-  /// Multi-tenant serving only (serve/tenant_server.h); empty/0 on the
-  /// single-tenant ExtractionServer.
+  /// The tenant that submitted the request; empty on the single-tenant
+  /// ExtractionServer.
   std::string tenant;
-  /// Registry version of the tenant snapshot that served the request.
+  /// Registry version of the tenant snapshot that served the request; 0 on
+  /// the single-tenant ExtractionServer.
   uint64_t tenant_version = 0;
   /// Whole batches that ran between this request's admission and the batch
   /// that served it. Unlike latency_ms this is a *deterministic* fairness
@@ -75,14 +70,16 @@ struct ExtractResponse {
   int64_t batches_waited = 0;
 };
 
-/// Configuration of an ExtractionServer. All knobs have serving-friendly
+/// Configuration of the serving engine (MultiTenantServer, and the
+/// ExtractionServer facade over it). All knobs have serving-friendly
 /// defaults; Validate() catches nonsensical combinations with an actionable
 /// message before the server accepts traffic.
 struct ServeOptions {
   /// Most documents coalesced into one encode/predict batch.
   int max_batch = 16;
-  /// Admission queue capacity. A submit finding the queue full is rejected
-  /// with kRejectedQueueFull rather than blocking.
+  /// Server-wide admission bound: a submit finding this many requests
+  /// queued across all tenants is rejected with kRejectedQueueFull rather
+  /// than blocking. Checked before the per-tenant TenantQuota.
   int queue_capacity = 64;
   /// LRU capacity (entries) of the encoded-document cache; 0 disables.
   int encoded_cache_capacity = 256;
@@ -111,38 +108,33 @@ struct ServeOptions {
 /// the same page under fresh ids still hit the caches.
 uint64_t DocContentHash(const Document& doc);
 
-/// The cache key both servers use: folds the snapshot sequence into the
+/// The serving engine's cache key: folds the snapshot sequence into the
 /// content hash so entries from a retired snapshot can never match
 /// requests served by its replacement — and so tenants sharing one
 /// backbone snapshot (serve/tenant_server.h) share cache entries.
 uint64_t SnapshotCacheKey(uint64_t content_hash, uint64_t snapshot_sequence);
 
-/// Batched, deterministic extraction service.
+class MultiTenantServer;
+
+/// Batched, deterministic extraction service for one model: a one-tenant
+/// facade over MultiTenantServer (serve/tenant_server.h), which does the
+/// queueing, batching, caching, deadlines and shutdown. The model is tenant
+/// "" of a private ModelRegistry with quota {queue_capacity, max_batch}, so
+/// batches take min(max_batch, queued) documents in admission order.
+/// Responses are bit-identical to `snapshot->model().Predict(doc)` (or the
+/// int8 prediction when int8_inference is set) at any FIELDSWAP_THREADS,
+/// batch size and submitter interleaving (tests/serve_test.cc), and carry
+/// an empty `tenant` and `tenant_version` 0.
 ///
-/// Requests enter a bounded admission queue (Submit) and are coalesced into
-/// batches of at most `max_batch` documents in admission order. There is no
-/// dedicated server thread — creating raw threads outside src/par is banned
-/// — so batching is leader/follower: the first waiter that finds work and
-/// no batch in flight becomes the leader, drains a batch, and executes it
-/// on the shared par pool; other waiters block on a condvar until their
-/// response is published.
-///
-/// Each response is a pure function of (snapshot, document content, the
-/// int8_inference flag), so results are bit-identical to calling
-/// `snapshot->model().Predict(doc)` directly (or the snapshot's int8
-/// prediction when int8_inference is set), for any FIELDSWAP_THREADS value,
-/// any batch size, and any interleaving of concurrent submitters (enforced
-/// by tests/serve_test.cc). Caches are memoization only and cannot change
-/// payloads.
-///
-/// The model snapshot is hot-swappable: SwapSnapshot atomically replaces
-/// the pointer; in-flight batches finish on the snapshot they started with,
-/// later batches use the replacement. Cache keys include the snapshot
-/// sequence, so a swap can never serve stale entries.
+/// SwapSnapshot publishes a replacement between batches: in-flight batches
+/// finish on their snapshot, and cache keys include the snapshot sequence,
+/// so a swap never serves stale entries. The registry lineage is
+/// append-only, so swapped-out snapshots live as long as the server.
 class ExtractionServer {
  public:
   ExtractionServer(std::shared_ptr<const ModelSnapshot> snapshot,
                    ServeOptions options = {});
+  ~ExtractionServer();
 
   ExtractionServer(const ExtractionServer&) = delete;
   ExtractionServer& operator=(const ExtractionServer&) = delete;
@@ -152,13 +144,12 @@ class ExtractionServer {
   /// `deadline_ms` overrides options.default_deadline_ms for this request;
   /// 0 = no deadline, negative = use the default. Returns a ticket for
   /// Wait().
-  int64_t Submit(const Document& doc, double deadline_ms = -1)
-      FS_EXCLUDES(mu_);
+  int64_t Submit(const Document& doc, double deadline_ms = -1);
 
   /// Blocks until the request's response is available and returns it
   /// (each ticket can be claimed once). Callers waiting here collectively
-  /// drive the batcher; see the class comment.
-  ExtractResponse Wait(int64_t id) FS_EXCLUDES(mu_);
+  /// drive the batcher; see MultiTenantServer.
+  ExtractResponse Wait(int64_t id);
 
   /// Submit + Wait for a single document.
   ExtractResponse Extract(const Document& doc, double deadline_ms = -1);
@@ -177,46 +168,16 @@ class ExtractionServer {
 
   /// Rejects all queued requests with kRejectedShutdown, wakes all waiters,
   /// and makes further Submits fail fast. Idempotent.
-  void Shutdown() FS_EXCLUDES(mu_);
+  void Shutdown();
 
   /// Requests admitted but not yet picked up by a batch.
   int queue_depth() const;
 
-  const EncodedDocCache& encoded_cache() const { return encoded_cache_; }
-  const LruCache<std::vector<EntitySpan>>& result_cache() const {
-    return result_cache_;
-  }
+  const EncodedDocCache& encoded_cache() const;
+  const LruCache<std::vector<EntitySpan>>& result_cache() const;
 
  private:
-  struct PendingRequest {
-    int64_t id = 0;
-    Document doc;
-    double submit_ms = 0;
-    double deadline_at_ms = 0;  // absolute; 0 = no deadline
-  };
-
-  double NowMs() const;
-  ExtractResponse Reject(ServeStatus status, const Document& doc,
-                         std::string error) const;
-  /// Leader path: drains one batch and publishes its responses. Expects
-  /// `lock` held on entry; temporarily releases it around model work.
-  void RunBatchLocked(std::unique_lock<util::OrderedMutex>& lock)
-      FS_REQUIRES(mu_);
-
-  ServeOptions options_;
-  obs::Stopwatch uptime_;
-
-  mutable util::OrderedMutex mu_{"ExtractionServer::mu_"};
-  std::condition_variable_any cv_;
-  std::shared_ptr<const ModelSnapshot> snapshot_ FS_GUARDED_BY(mu_);
-  std::deque<PendingRequest> queue_ FS_GUARDED_BY(mu_);
-  std::unordered_map<int64_t, ExtractResponse> done_ FS_GUARDED_BY(mu_);
-  int64_t next_id_ FS_GUARDED_BY(mu_) = 1;
-  bool batch_in_flight_ FS_GUARDED_BY(mu_) = false;
-  bool shutdown_ FS_GUARDED_BY(mu_) = false;
-
-  EncodedDocCache encoded_cache_;
-  LruCache<std::vector<EntitySpan>> result_cache_;
+  std::unique_ptr<MultiTenantServer> engine_;
 };
 
 }  // namespace serve

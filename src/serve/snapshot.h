@@ -11,10 +11,12 @@
 namespace fieldswap {
 namespace serve {
 
-/// An immutable, shareable trained model. The ExtractionServer holds one
-/// `shared_ptr<const ModelSnapshot>` and swaps the pointer atomically for
-/// zero-downtime refresh: in-flight batches keep the snapshot they started
-/// with alive until they finish, new batches pick up the replacement.
+/// An immutable, shareable trained model. The serving engine
+/// (serve/tenant_server.h) reads each tenant's active
+/// `shared_ptr<const ModelSnapshot>` from the registry once per batch, so a
+/// publish (or ExtractionServer::SwapSnapshot) is a zero-downtime refresh:
+/// in-flight batches keep the snapshot they started with alive until they
+/// finish, new batches pick up the replacement.
 ///
 /// `sequence()` is a process-unique id assigned at construction. Cache
 /// entries (encoded documents, memoized predictions) are keyed by it, so a

@@ -18,22 +18,24 @@ const std::vector<double>& BatchSizeBounds() {
   return bounds;
 }
 
+// Adds a per-batch count; zero adds nothing, so idle counters stay absent.
+void AddCount(const char* name, size_t count) {
+  if (count > 0) obs::CounterAdd(name, static_cast<int64_t>(count));
+}
+
 }  // namespace
 
 MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
                                      ServeOptions options)
     : registry_(std::move(registry)),
       options_(std::move(options)),
-      encoded_cache_(static_cast<size_t>(
-          options_.encoded_cache_capacity > 0 ? options_.encoded_cache_capacity
-                                              : 0)),
-      result_cache_(static_cast<size_t>(
-          options_.result_cache_capacity > 0 ? options_.result_cache_capacity
-                                             : 0)) {
+      // Validate() below rejects negative capacities before any cache use.
+      encoded_cache_(static_cast<size_t>(options_.encoded_cache_capacity)),
+      result_cache_(static_cast<size_t>(options_.result_cache_capacity)) {
   FS_CHECK(registry_ != nullptr) << "MultiTenantServer needs a ModelRegistry";
   std::string error = options_.Validate();
   FS_CHECK(error.empty()) << error;
-  obs::CounterAdd("fieldswap.serve.tenant.servers_started");
+  obs::CounterAdd("fieldswap.serve.servers_started");
 }
 
 double MultiTenantServer::NowMs() const {
@@ -50,8 +52,7 @@ ExtractResponse MultiTenantServer::Reject(ServeStatus status,
   response.doc_id = doc.id();
   response.tenant = tenant;
   response.error = std::move(error);
-  obs::CounterAdd(std::string("fieldswap.serve.tenant.") +
-                  ServeStatusName(status));
+  obs::CounterAdd(std::string("fieldswap.serve.") + ServeStatusName(status));
   return response;
 }
 
@@ -63,9 +64,8 @@ int64_t MultiTenantServer::Submit(const std::string& tenant,
   std::lock_guard<util::OrderedMutex> lock(mu_);
   int64_t id = next_id_++;
   if (shutdown_) {
-    done_[id] =
-        Reject(ServeStatus::kRejectedShutdown, tenant, doc,
-               "multi-tenant server is shut down");
+    done_[id] = Reject(ServeStatus::kRejectedShutdown, tenant, doc,
+                       "server is shut down");
     return id;
   }
   if (!registry_->Has(tenant)) {
@@ -73,6 +73,14 @@ int64_t MultiTenantServer::Submit(const std::string& tenant,
         ServeStatus::kRejectedUnknownTenant, tenant, doc,
         "tenant '" + tenant +
             "' has no published model; publish one to the registry first");
+    return id;
+  }
+  if (total_queued_ >= static_cast<size_t>(options_.queue_capacity)) {
+    done_[id] = Reject(
+        ServeStatus::kRejectedQueueFull, tenant, doc,
+        "admission queue full (capacity " +
+            std::to_string(options_.queue_capacity) +
+            "); retry after draining or raise ServeOptions.queue_capacity");
     return id;
   }
   TenantState& state = tenants_[tenant];
@@ -88,20 +96,16 @@ int64_t MultiTenantServer::Submit(const std::string& tenant,
     done_[id] = std::move(response);
     return id;
   }
-  double effective_deadline =
+  const double effective_deadline =
       deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
-  PendingRequest request;
-  request.id = id;
-  request.doc = doc;
-  request.submit_ms = now_ms;
-  request.deadline_at_ms =
-      effective_deadline > 0 ? request.submit_ms + effective_deadline : 0;
-  request.batches_at_submit = batches_run_;
-  state.queue.push_back(std::move(request));
+  state.queue.push_back(
+      {id, doc, now_ms,
+       effective_deadline > 0 ? now_ms + effective_deadline : 0,
+       batches_run_});
   state.stats.submitted++;
   total_queued_++;
-  obs::CounterAdd("fieldswap.serve.tenant.requests");
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth",
+  obs::CounterAdd("fieldswap.serve.requests");
+  obs::GaugeSet("fieldswap.serve.queue_depth",
                 static_cast<double>(total_queued_));
   return id;
 }
@@ -114,32 +118,23 @@ void MultiTenantServer::RunBatchLocked(
   // Turn selection: the first tenant with queued work strictly after the
   // cursor in sorted order, wrapping — the deterministic round-robin.
   auto begin = tenants_.begin(), end = tenants_.end();
-  auto turn = end;
-  for (auto it = tenants_.upper_bound(cursor_); it != end; ++it) {
-    if (!it->second.queue.empty()) {
-      turn = it;
-      break;
-    }
+  auto turn = tenants_.upper_bound(cursor_);
+  for (size_t visited = 0; visited < tenants_.size(); ++visited, ++turn) {
+    if (turn == end) turn = begin;
+    if (!turn->second.queue.empty()) break;
   }
-  if (turn == end) {
-    for (auto it = begin; it != end; ++it) {
-      if (!it->second.queue.empty()) {
-        turn = it;
-        break;
-      }
-    }
-  }
-  FS_CHECK(turn != end) << "leader elected with nothing queued";
+  FS_CHECK(turn != end && !turn->second.queue.empty())
+      << "leader elected with nothing queued";
   const std::string turn_name = turn->first;
   TenantState& turn_state = turn->second;
 
   // DRR: credit the quantum, serve up to the deficit (capped by max_batch),
   // carry the remainder; an emptied queue forfeits its leftover credit.
-  const TenantQuota quota = registry_->Quota(turn_name);
-  turn_state.deficit += quota.batch_quantum;
-  const size_t take = std::min(
-      {static_cast<size_t>(turn_state.deficit),
-       static_cast<size_t>(options_.max_batch), turn_state.queue.size()});
+  const size_t max_batch = static_cast<size_t>(options_.max_batch);
+  turn_state.deficit += registry_->Quota(turn_name).batch_quantum;
+  const size_t take =
+      std::min({static_cast<size_t>(turn_state.deficit), max_batch,
+                turn_state.queue.size()});
   const PublishedVersion active = registry_->ActiveEntry(turn_name);
   FS_CHECK(active.snapshot != nullptr)
       << "tenant '" << turn_name << "' queued work but has no active snapshot";
@@ -148,15 +143,21 @@ void MultiTenantServer::RunBatchLocked(
       << "' active snapshot '" << active.snapshot->version()
       << "' has no int8 plan";
 
-  std::vector<BatchEntry> batch;
-  batch.reserve(static_cast<size_t>(options_.max_batch));
+  // batch[i] is served as responses[i], tagged with its serving identity.
+  std::vector<PendingRequest> batch;
+  std::vector<ExtractResponse> responses;
+  batch.reserve(max_batch);
+  responses.reserve(max_batch);
+  auto drain_one = [&](TenantState& state, const std::string& tenant,
+                       uint64_t tenant_version) {
+    batch.push_back(std::move(state.queue.front()));
+    state.queue.pop_front();
+    ExtractResponse& response = responses.emplace_back();
+    response.tenant = tenant;
+    response.tenant_version = tenant_version;
+  };
   for (size_t i = 0; i < take; ++i) {
-    BatchEntry entry;
-    entry.request = std::move(turn_state.queue.front());
-    turn_state.queue.pop_front();
-    entry.tenant = turn_name;
-    entry.tenant_version = active.version;
-    batch.push_back(std::move(entry));
+    drain_one(turn_state, turn_name, active.version);
   }
   turn_state.deficit -= static_cast<int64_t>(take);
   if (turn_state.queue.empty()) turn_state.deficit = 0;
@@ -169,44 +170,31 @@ void MultiTenantServer::RunBatchLocked(
   // is a bonus — it charges no one's deficit and can only fill capacity
   // the turn tenant could not use, so it never delays anyone's turn.
   int64_t packed = 0;
-  if (batch.size() < static_cast<size_t>(options_.max_batch)) {
-    auto scan = turn;
-    for (size_t visited = 0; visited + 1 < tenants_.size(); ++visited) {
-      ++scan;
-      if (scan == end) scan = begin;
-      if (batch.size() >= static_cast<size_t>(options_.max_batch)) break;
-      TenantState& other = scan->second;
-      if (other.queue.empty()) continue;
-      const PublishedVersion entry = registry_->ActiveEntry(scan->first);
-      if (entry.snapshot.get() != active.snapshot.get()) continue;
-      while (!other.queue.empty() &&
-             batch.size() < static_cast<size_t>(options_.max_batch)) {
-        BatchEntry be;
-        be.request = std::move(other.queue.front());
-        other.queue.pop_front();
-        be.tenant = scan->first;
-        be.tenant_version = entry.version;
-        be.packed = true;
-        batch.push_back(std::move(be));
-        other.stats.packed_docs++;
-        packed++;
-      }
+  auto scan = turn;
+  for (size_t visited = 0;
+       visited + 1 < tenants_.size() && batch.size() < max_batch; ++visited) {
+    if (++scan == end) scan = begin;
+    TenantState& other = scan->second;
+    if (other.queue.empty()) continue;
+    const PublishedVersion entry = registry_->ActiveEntry(scan->first);
+    if (entry.snapshot.get() != active.snapshot.get()) continue;
+    while (!other.queue.empty() && batch.size() < max_batch) {
+      drain_one(other, scan->first, entry.version);
+      other.stats.packed_docs++;
+      packed++;
     }
   }
   total_queued_ -= batch.size();
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth",
+  obs::GaugeSet("fieldswap.serve.queue_depth",
                 static_cast<double>(total_queued_));
   const std::shared_ptr<const ModelSnapshot> snapshot = active.snapshot;
   lock.unlock();
 
-  std::vector<ExtractResponse> responses(batch.size());
   {
-    FS_TRACE_SPAN("serve.tenant_batch");
-    obs::CounterAdd("fieldswap.serve.tenant.batches");
-    if (packed > 0) {
-      obs::CounterAdd("fieldswap.serve.tenant.packed_docs", packed);
-    }
-    obs::HistogramObserve("fieldswap.serve.tenant.batch_size",
+    FS_TRACE_SPAN("serve.batch");
+    obs::CounterAdd("fieldswap.serve.batches");
+    if (packed > 0) obs::CounterAdd("fieldswap.serve.packed_docs", packed);
+    obs::HistogramObserve("fieldswap.serve.batch_size",
                           static_cast<double>(batch.size()),
                           BatchSizeBounds());
     double now = NowMs();
@@ -214,42 +202,37 @@ void MultiTenantServer::RunBatchLocked(
     // Triage in batch order: expired deadlines reject, result-cache hits
     // complete immediately, the rest go to the model. Serial cache traffic
     // keeps hit accounting and LRU order deterministic for a fixed
-    // submission order.
+    // submission order. Cache counters are added once per batch.
     std::vector<size_t> live;
     std::vector<uint64_t> keys(batch.size(), 0);
+    size_t result_hits = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
-      BatchEntry& entry = batch[i];
-      responses[i].tenant = entry.tenant;
-      responses[i].tenant_version = entry.tenant_version;
-      responses[i].batches_waited =
-          batches_before - entry.request.batches_at_submit;
-      if (entry.request.deadline_at_ms > 0 &&
-          now > entry.request.deadline_at_ms) {
-        ExtractResponse reject = Reject(
-            ServeStatus::kRejectedDeadline, entry.tenant, entry.request.doc,
+      const PendingRequest& request = batch[i];
+      ExtractResponse& response = responses[i];
+      response.snapshot_version = snapshot->version();
+      response.doc_id = request.doc.id();
+      response.batches_waited = batches_before - request.batches_at_submit;
+      obs::HistogramObserve("fieldswap.serve.stage.queue_wait_ms",
+                            now - request.submit_ms);
+      if (request.deadline_at_ms > 0 && now > request.deadline_at_ms) {
+        response.status = ServeStatus::kRejectedDeadline;
+        response.error =
             "deadline expired before batching; extend the deadline or "
-            "reduce load");
-        reject.tenant_version = responses[i].tenant_version;
-        reject.batches_waited = responses[i].batches_waited;
-        reject.snapshot_version = snapshot->version();
-        responses[i] = std::move(reject);
+            "reduce load";
+        obs::CounterAdd("fieldswap.serve.rejected_deadline");
         continue;
       }
-      keys[i] = SnapshotCacheKey(DocContentHash(entry.request.doc),
-                                 snapshot->sequence());
+      keys[i] =
+          SnapshotCacheKey(DocContentHash(request.doc), snapshot->sequence());
       std::shared_ptr<const std::vector<EntitySpan>> cached =
           result_cache_.Get(keys[i]);
       if (cached != nullptr) {
-        obs::CounterAdd("fieldswap.serve.tenant.result_cache_hits");
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *cached;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = entry.request.doc.id();
-        responses[i].cache_hit = true;
-        responses[i].encoded_cache_hit = true;
+        response.spans = *cached;
+        response.cache_hit = true;
+        response.encoded_cache_hit = true;
+        ++result_hits;
         continue;
       }
-      obs::CounterAdd("fieldswap.serve.tenant.result_cache_misses");
       live.push_back(i);
     }
 
@@ -263,11 +246,17 @@ void MultiTenantServer::RunBatchLocked(
         responses[live[j]].encoded_cache_hit = true;
       }
     }
+    AddCount("fieldswap.serve.result_cache_hits", result_hits);
+    AddCount("fieldswap.serve.result_cache_misses", live.size());
+    AddCount("fieldswap.serve.encoded_cache_hits",
+             live.size() - to_encode.size());
+    AddCount("fieldswap.serve.encoded_cache_misses", to_encode.size());
     if (!to_encode.empty()) {
-      FS_TRACE_SPAN("serve.tenant_encode");
+      FS_TRACE_SPAN("serve.encode");
+      obs::Stopwatch encode_timer;
       std::vector<std::shared_ptr<const EncodedDoc>> fresh =
           par::ParallelMap(to_encode.size(), [&](size_t k) {
-            const Document& doc = batch[live[to_encode[k]]].request.doc;
+            const Document& doc = batch[live[to_encode[k]]].doc;
             return std::make_shared<const EncodedDoc>(
                 snapshot->model().EncodeDoc(doc));
           });
@@ -275,31 +264,32 @@ void MultiTenantServer::RunBatchLocked(
         encoded[to_encode[k]] = fresh[k];
         encoded_cache_.Put(keys[live[to_encode[k]]], fresh[k]);
       }
+      obs::HistogramObserve("fieldswap.serve.stage.encode_ms",
+                            encode_timer.ElapsedMs());
     }
 
     if (!live.empty()) {
-      FS_TRACE_SPAN("serve.tenant_predict");
+      FS_TRACE_SPAN("serve.predict");
+      obs::Stopwatch predict_timer;
       std::vector<std::vector<EntitySpan>> predictions =
           par::ParallelMap(live.size(), [&](size_t j) {
             return snapshot->PredictEncoded(*encoded[j],
                                             options_.int8_inference);
           });
       for (size_t j = 0; j < live.size(); ++j) {
-        size_t i = live[j];
         auto shared = std::make_shared<const std::vector<EntitySpan>>(
             std::move(predictions[j]));
-        result_cache_.Put(keys[i], shared);
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *shared;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = batch[i].request.doc.id();
+        result_cache_.Put(keys[live[j]], shared);
+        responses[live[j]].spans = *shared;
       }
+      obs::HistogramObserve("fieldswap.serve.stage.predict_ms",
+                            predict_timer.ElapsedMs());
     }
 
     double end_ms = NowMs();
     for (size_t i = 0; i < batch.size(); ++i) {
-      responses[i].latency_ms = end_ms - batch[i].request.submit_ms;
-      obs::HistogramObserve("fieldswap.serve.tenant.latency_ms",
+      responses[i].latency_ms = end_ms - batch[i].submit_ms;
+      obs::HistogramObserve("fieldswap.serve.latency_ms",
                             responses[i].latency_ms);
     }
   }
@@ -307,12 +297,12 @@ void MultiTenantServer::RunBatchLocked(
   lock.lock();
   for (size_t i = 0; i < batch.size(); ++i) {
     if (responses[i].status == ServeStatus::kOk) {
-      TenantState& state = tenants_[batch[i].tenant];
+      TenantState& state = tenants_[responses[i].tenant];
       state.stats.served++;
       state.stats.max_batches_waited = std::max(
           state.stats.max_batches_waited, responses[i].batches_waited);
     }
-    done_[batch[i].request.id] = std::move(responses[i]);
+    done_[batch[i].id] = std::move(responses[i]);
   }
   batches_run_++;
   batch_in_flight_ = false;
@@ -345,8 +335,9 @@ ExtractResponse MultiTenantServer::Extract(const std::string& tenant,
 std::vector<ExtractResponse> MultiTenantServer::ExtractBatch(
     const std::string& tenant, const std::vector<Document>& docs) {
   std::vector<ExtractResponse> responses(docs.size());
-  const size_t window = std::max<size_t>(
-      1, static_cast<size_t>(registry_->Quota(tenant).queue_capacity));
+  // Quota and server-wide bound both admit a full window.
+  const size_t window = static_cast<size_t>(std::min(
+      registry_->Quota(tenant).queue_capacity, options_.queue_capacity));
   for (size_t start = 0; start < docs.size(); start += window) {
     size_t end = std::min(docs.size(), start + window);
     std::vector<int64_t> ids;
@@ -362,17 +353,16 @@ void MultiTenantServer::Shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
   for (auto& [name, state] : tenants_) {
-    while (!state.queue.empty()) {
-      PendingRequest request = std::move(state.queue.front());
-      state.queue.pop_front();
+    for (const PendingRequest& request : state.queue) {
       done_[request.id] =
           Reject(ServeStatus::kRejectedShutdown, name, request.doc,
-                 "multi-tenant server shut down while the request was queued");
+                 "server shut down while the request was queued");
     }
+    state.queue.clear();
     state.deficit = 0;
   }
   total_queued_ = 0;
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth", 0);
+  obs::GaugeSet("fieldswap.serve.queue_depth", 0);
   cv_.notify_all();
 }
 

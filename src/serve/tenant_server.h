@@ -42,11 +42,17 @@ struct TenantStats {
   int64_t max_batches_waited = 0;
 };
 
-/// Multi-tenant front end over a ModelRegistry (ISSUE 8 tentpole): one
-/// admission queue per tenant, per-tenant quotas, and deficit-round-robin
-/// batch scheduling, layered on the same leader/follower batching as
-/// ExtractionServer (no dedicated threads; the first waiter that finds
-/// work leads a batch).
+/// The serving engine: the one batch executor, over a ModelRegistry. One
+/// admission queue per tenant, a server-wide admission bound
+/// (ServeOptions.queue_capacity) checked before per-tenant quotas, and
+/// deficit-round-robin batch scheduling. ExtractionServer (serve/server.h)
+/// is a one-tenant facade over it.
+///
+/// Batching without a server thread: creating raw threads outside src/par
+/// is banned, so batching is leader/follower. The first waiter that finds
+/// queued work and no batch in flight becomes the leader, forms one batch,
+/// and runs it on the shared par pool; other waiters block on a condvar
+/// until their response is published.
 ///
 /// Scheduling: tenants take turns in sorted-name order. At a tenant's
 /// turn its deficit grows by its quantum (registry quota) and the batch
@@ -64,12 +70,12 @@ struct TenantStats {
 /// Determinism: every response is a pure function of (tenant's active
 /// snapshot, document content, int8_inference). Scheduling decides only
 /// *which batch* serves a document, never the response bytes, so each
-/// tenant's response stream is bit-identical to a single-tenant
-/// ExtractionServer over the same snapshot at any FIELDSWAP_THREADS,
-/// batch size, or tenant interleaving (tests/serve_test.cc). Caches are
-/// keyed by (content hash, snapshot sequence), so tenants sharing a
-/// backbone snapshot share cache entries — cross-tenant dedup — while
-/// distinct snapshots can never collide.
+/// tenant's response stream is bit-identical to
+/// SequenceLabelingModel::Predict on its active snapshot at any
+/// FIELDSWAP_THREADS, batch size, or tenant interleaving
+/// (tests/serve_test.cc). Caches are keyed by (content hash, snapshot
+/// sequence), so tenants sharing a backbone snapshot share cache entries —
+/// cross-tenant dedup — while distinct snapshots can never collide.
 ///
 /// Hot swap: the registry is consulted at every batch formation, so
 /// Publish/Rollback for one tenant lands atomically between batches and
@@ -82,14 +88,15 @@ class MultiTenantServer {
   MultiTenantServer(const MultiTenantServer&) = delete;
   MultiTenantServer& operator=(const MultiTenantServer&) = delete;
 
-  /// Enqueues a document for `tenant`. Never blocks: unknown tenants,
-  /// quota-exhausted tenants, and a shut-down server complete immediately
-  /// with the matching rejection. Returns a ticket for Wait().
+  /// Enqueues a document for `tenant`. Never blocks: a shut-down server,
+  /// unknown tenants, a full server-wide queue, and quota-exhausted tenants
+  /// complete immediately with the matching rejection, checked in that
+  /// order. Returns a ticket for Wait().
   int64_t Submit(const std::string& tenant, const Document& doc,
                  double deadline_ms = -1) FS_EXCLUDES(mu_);
 
   /// Blocks until the response is available (each ticket claimable once).
-  /// Waiters collectively drive the batcher, as in ExtractionServer.
+  /// Waiters collectively drive the batcher; see the class comment.
   ExtractResponse Wait(int64_t id) FS_EXCLUDES(mu_);
 
   /// Submit + Wait for one document.
@@ -97,8 +104,9 @@ class MultiTenantServer {
                           double deadline_ms = -1);
 
   /// Runs a corpus for one tenant through the queue/batch machinery in
-  /// windows of the tenant's admission quota (so nothing is rejected for
-  /// queue space). Responses in input order.
+  /// windows of the smaller of the tenant's quota and the server-wide
+  /// bound (so nothing is rejected for queue space when no other tenant
+  /// has work queued). Responses in input order.
   std::vector<ExtractResponse> ExtractBatch(const std::string& tenant,
                                             const std::vector<Document>& docs);
 
@@ -117,6 +125,10 @@ class MultiTenantServer {
 
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
   const ServeOptions& options() const { return options_; }
+  const EncodedDocCache& encoded_cache() const { return encoded_cache_; }
+  const LruCache<std::vector<EntitySpan>>& result_cache() const {
+    return result_cache_;
+  }
 
  private:
   struct PendingRequest {
@@ -131,14 +143,6 @@ class MultiTenantServer {
     std::deque<PendingRequest> queue;
     int64_t deficit = 0;  // DRR credit, carried across turns
     TenantStats stats;
-  };
-
-  /// One document drained into a batch, tagged with its serving identity.
-  struct BatchEntry {
-    PendingRequest request;
-    std::string tenant;
-    uint64_t tenant_version = 0;
-    bool packed = false;  // served via cross-tenant packing
   };
 
   double NowMs() const;

@@ -161,6 +161,45 @@ TEST(MultiTenantServerTest, QuotaExhaustionRejectsWithReasonAndIsPerTenant) {
   EXPECT_EQ(server.stats("roomy").rejected_quota, 0);
 }
 
+// ServeOptions.queue_capacity bounds admission across all tenants, and it
+// is checked before the per-tenant quota: a full server sheds with
+// kRejectedQueueFull even when every tenant has quota left, and charges
+// no tenant a quota rejection.
+TEST(MultiTenantServerTest, ServerWideQueueCapacityRejectsBeforeQuota) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->Publish("a", MakeSnapshot(TestModel(1)));
+  registry->Publish("b", MakeSnapshot(TestModel(2)));
+  TenantQuota roomy;
+  roomy.queue_capacity = 16;
+  registry->SetQuota("a", roomy);
+  registry->SetQuota("b", roomy);
+  ServeOptions options;
+  options.queue_capacity = 3;
+  MultiTenantServer server(registry, options);
+  std::vector<Document> corpus = TestCorpus(4);
+
+  std::vector<int64_t> admitted = {server.Submit("a", corpus[0]),
+                                   server.Submit("b", corpus[1]),
+                                   server.Submit("a", corpus[2])};
+  int64_t over = server.Submit("b", corpus[3]);  // 4th: server is full
+
+  ExtractResponse rejected = server.Wait(over);
+  EXPECT_EQ(rejected.status, ServeStatus::kRejectedQueueFull);
+  EXPECT_EQ(rejected.tenant, "b");
+  EXPECT_NE(rejected.error.find("capacity 3"), std::string::npos);
+  EXPECT_NE(rejected.error.find("ServeOptions.queue_capacity"),
+            std::string::npos);
+  EXPECT_TRUE(rejected.spans.empty());
+  for (int64_t id : admitted) {
+    EXPECT_EQ(server.Wait(id).status, ServeStatus::kOk);
+  }
+  EXPECT_EQ(server.stats("a").rejected_quota, 0);
+  EXPECT_EQ(server.stats("b").rejected_quota, 0);
+
+  // Draining frees server-wide room again.
+  EXPECT_EQ(server.Extract("b", corpus[3]).status, ServeStatus::kOk);
+}
+
 TEST(MultiTenantServerTest, ResponsesCarryTenantAndVersion) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->Publish("t", MakeSnapshot(TestModel(1), "first"));

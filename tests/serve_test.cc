@@ -14,8 +14,11 @@
 #include <utility>
 #include <vector>
 
+#include "api/fieldswap_api.h"
 #include "doc/document.h"
 #include "model/sequence_model.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "par/parallel.h"
 #include "serve/cache.h"
 #include "serve/registry.h"
@@ -285,6 +288,21 @@ TEST(ExtractionServerTest, SnapshotSwapNeverServesStaleCacheEntries) {
   EXPECT_EQ(after.spans, model_b.Predict(corpus[0]));
 }
 
+// int8 serving needs each snapshot's quantized plan; the facade checks it
+// at construction and on every swap, before the snapshot can reach a batch.
+TEST(ExtractionServerTest, Int8ServingRejectsSnapshotsWithoutAPlan) {
+  ServeOptions options;
+  options.int8_inference = true;
+  EXPECT_DEATH(
+      { ExtractionServer doomed(MakeSnapshot(TestModel()), options); },
+      "has no int8 plan");
+  ExtractionServer server(
+      MakeSnapshot(TestModel(), "int8", /*with_int8_plan=*/true), options);
+  EXPECT_DEATH(server.SwapSnapshot(MakeSnapshot(TestModel())),
+               "has no int8 plan");
+  EXPECT_EQ(server.snapshot()->version(), "int8");
+}
+
 // ---- Hot swap under concurrency -------------------------------------------
 
 TEST(ExtractionServerTest, HotSwapUnderConcurrentRequestsStaysConsistent) {
@@ -345,28 +363,24 @@ TEST(ExtractionServerTest, HotSwapUnderConcurrentRequestsStaysConsistent) {
 // ---- Multi-tenant serving (ISSUE 8) ---------------------------------------
 
 // The headline determinism contract: each tenant's responses through the
-// MultiTenantServer are bit-identical to a single-tenant ExtractionServer
-// over the same snapshot — at any thread count, any batch size, and any
-// interleaving of tenant traffic. Scheduling decides which batch serves a
-// document, never the bytes of the response.
+// MultiTenantServer are bit-identical to direct Predict on the tenant's
+// model — at any thread count, any batch size, and any interleaving of
+// tenant traffic. Scheduling decides which batch serves a document, never
+// the bytes of the response. (ExtractionServer is a facade over this same
+// engine, so the reference is the model itself, not a second server.)
 TEST(MultiTenantServerTest, MatchesSingleTenantServerBitIdentically) {
   const int prior_threads = par::Threads();
   const std::vector<std::string> tenants = {"acme", "globex", "initech"};
   std::vector<Document> corpus = TestCorpus(6);
 
-  // Per-tenant single-tenant baselines (the spec the multi-tenant path
-  // must reproduce exactly).
+  // Per-tenant references: the spans the multi-tenant path must reproduce
+  // exactly.
   std::vector<std::vector<std::vector<EntitySpan>>> expected;
   for (size_t t = 0; t < tenants.size(); ++t) {
     SequenceLabelingModel model = TestModel(50 + t);
-    ExtractionServer single(MakeSnapshot(model));
     std::vector<std::vector<EntitySpan>> per_doc;
-    for (ExtractResponse& response : single.ExtractBatch(corpus)) {
-      EXPECT_EQ(response.status, ServeStatus::kOk);
-      per_doc.push_back(std::move(response.spans));
-    }
+    for (const Document& doc : corpus) per_doc.push_back(model.Predict(doc));
     expected.push_back(std::move(per_doc));
-    single.Shutdown();
   }
 
   // (tenant_index, doc_index) submission orders: round-robin across
@@ -402,6 +416,7 @@ TEST(MultiTenantServerTest, MatchesSingleTenantServerBitIdentically) {
           ExtractResponse response = server.Wait(ids[i]);
           ASSERT_EQ(response.status, ServeStatus::kOk);
           EXPECT_EQ(response.tenant, tenants[t]);
+          EXPECT_EQ(response.tenant_version, 1u);
           EXPECT_EQ(response.spans, expected[t][d])
               << "tenant=" << tenants[t] << " doc=" << d
               << " threads=" << threads << " batch=" << batch;
@@ -565,6 +580,93 @@ TEST(ShardedTenantServiceTest, RoutesDeterministicallyAndServesAllShards) {
     EXPECT_EQ(response.spans, v2.Predict(doc));
   }
   service.Shutdown();
+}
+
+// ---- One engine, one vocabulary -------------------------------------------
+
+/// Metric names whose value moved between two snapshots (new names
+/// included): counters and gauges by value, histograms by count.
+std::set<std::string> MovedMetrics(const obs::MetricsSnapshot& before,
+                                   const obs::MetricsSnapshot& after) {
+  std::set<std::string> moved;
+  for (const auto& [name, value] : after.counters) {
+    auto it = before.counters.find(name);
+    if (it == before.counters.end() || it->second != value) moved.insert(name);
+  }
+  for (const auto& [name, value] : after.gauges) {
+    auto it = before.gauges.find(name);
+    if (it == before.gauges.end() || it->second != value) moved.insert(name);
+  }
+  for (const auto& [name, data] : after.histograms) {
+    auto it = before.histograms.find(name);
+    if (it == before.histograms.end() || it->second.count != data.count) {
+      moved.insert(name);
+    }
+  }
+  return moved;
+}
+
+// api::Serve is a facade over the multi-tenant engine, so single-tenant
+// and multi-tenant serving emit the same metric and span names. Only the
+// registry's own publish/rollback metrics keep the tenant prefix.
+TEST(ServeVocabularyTest, SingleAndMultiTenantServingShareOneVocabulary) {
+  std::vector<Document> corpus = TestCorpus(3);
+  const std::set<std::string> registry_metrics = {
+      "fieldswap.serve.tenant.publishes", "fieldswap.serve.tenant.count",
+      "fieldswap.serve.tenant.rollbacks"};
+
+  for (bool multi : {false, true}) {
+    const obs::MetricsSnapshot before = obs::GlobalMetrics().Snapshot();
+    const int64_t batches_before =
+        obs::GlobalMetrics().CounterValue("fieldswap.serve.batches");
+    const int64_t requests_before =
+        obs::GlobalMetrics().CounterValue("fieldswap.serve.requests");
+    const size_t first_event = obs::GlobalTrace().size();
+    if (multi) {
+      std::shared_ptr<ModelRegistry> registry = api::NewRegistry();
+      api::PublishModel(*registry, "acme", TestModel());
+      std::unique_ptr<MultiTenantServer> server = api::ServeTenants(registry);
+      for (const ExtractResponse& response :
+           server->ExtractBatch("acme", corpus)) {
+        EXPECT_EQ(response.status, ServeStatus::kOk);
+        EXPECT_EQ(response.tenant, "acme");
+        EXPECT_EQ(response.tenant_version, 1u);
+      }
+    } else {
+      std::unique_ptr<ExtractionServer> server = api::Serve(TestModel());
+      for (const ExtractResponse& response : server->ExtractBatch(corpus)) {
+        EXPECT_EQ(response.status, ServeStatus::kOk);
+        EXPECT_EQ(response.tenant, "");
+        EXPECT_EQ(response.tenant_version, 0u);
+      }
+    }
+
+    EXPECT_GT(obs::GlobalMetrics().CounterValue("fieldswap.serve.batches"),
+              batches_before)
+        << "multi=" << multi;
+    EXPECT_EQ(obs::GlobalMetrics().CounterValue("fieldswap.serve.requests"),
+              requests_before + static_cast<int64_t>(corpus.size()))
+        << "multi=" << multi;
+    for (const std::string& name :
+         MovedMetrics(before, obs::GlobalMetrics().Snapshot())) {
+      EXPECT_FALSE(name.rfind("fieldswap.serve.tenant.", 0) == 0 &&
+                   registry_metrics.count(name) == 0)
+          << "multi=" << multi << " emitted server metric " << name;
+    }
+
+    std::set<std::string> spans;
+    std::vector<obs::TraceEvent> events = obs::GlobalTrace().events();
+    for (size_t i = first_event; i < events.size(); ++i) {
+      spans.insert(events[i].name);
+    }
+    for (const char* want : {"serve.batch", "serve.encode", "serve.predict"}) {
+      EXPECT_EQ(spans.count(want), 1u) << "multi=" << multi << " " << want;
+    }
+    for (const std::string& name : spans) {
+      EXPECT_NE(name.rfind("serve.tenant_", 0), 0u)
+          << "multi=" << multi << " emitted span " << name;
+    }
+  }
 }
 
 }  // namespace

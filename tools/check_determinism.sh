@@ -57,14 +57,15 @@ if [[ ! -x "$SERVE_BIN" ]]; then
   exit 2
 fi
 
-# Serve leg: the same corpus through the batched ExtractionServer must
-# produce byte-identical JSONL whether it runs serially one document at a
-# time or pooled in large batches (stderr carries the timings; stdout is
-# the determinism contract). The contract is per kernel backend — scalar
-# and SIMD may differ from each other by bounded ulps (tests/kernels_test.cc
-# pins the bound), but WITHIN a backend thread count, batch size, and the
-# int8 path must be bit-stable, so the whole pair runs once per available
-# backend and once more for int8 inference on the best backend.
+# Serve leg: the same corpus through the batched ExtractionServer (a
+# one-tenant facade over the multi-tenant engine) must produce byte-identical
+# JSONL whether it runs serially one document at a time or pooled in large
+# batches (stderr carries the timings; stdout is the determinism contract).
+# The contract is per kernel backend — scalar and SIMD may differ from each
+# other by bounded ulps (tests/kernels_test.cc pins the bound), but WITHIN a
+# backend thread count, batch size, and the int8 path must be bit-stable, so
+# the whole pair runs once per available backend and once more for int8
+# inference on the best backend.
 serve_pair() {
   local label="$1"; shift
   echo "=== serve responses [$label] with FIELDSWAP_THREADS=1, batch 1 ==="

@@ -1,6 +1,7 @@
 // fieldswap_serve — serve a document corpus through the batched
 // ExtractionServer, or a fleet of tenants through the multi-tenant
-// registry server.
+// registry server (the same engine; ExtractionServer is its one-tenant
+// facade).
 //
 // Documents come from any registered corpus format — native .fsc, .jsonl,
 // or a .synth generator spec, auto-identified or forced with --format
@@ -21,7 +22,7 @@
 //
 //   {"tenants": [
 //     {"name": "acme",   "domain": "invoices", "seed": 11},
-//     {"name": "globex", "domain": "paystubs", "seed": 12,
+//     {"name": "globex", "domain": "earnings", "seed": 12,
 //      "queue_capacity": 32, "batch_quantum": 8}]}
 //
 // (per-tenant keys: name required; domain/seed/generate/train-docs/
@@ -29,7 +30,7 @@
 // checkpoint to load instead of quick-training; queue_capacity and
 // batch_quantum override the tenant's admission quota.)
 //
-//   $ fieldswap_serve --domain paystubs --generate 12 --batch 4
+//   $ fieldswap_serve --domain earnings --generate 12 --batch 4
 //   $ fieldswap_serve --input corpus.jsonl --model ckpt.bin --repeat 3
 //   $ fieldswap_serve --tenant-manifest tenants.json --order shuffled
 
@@ -170,6 +171,51 @@ std::vector<TenantSetup> ParseTenantManifest(
   return setups;
 }
 
+/// A fresh model for `domain`: loaded from `model_path`, or quick-trained
+/// on a generated corpus when the path is empty. Nullopt (with a message
+/// on stderr) when the checkpoint does not load.
+std::optional<fieldswap::SequenceLabelingModel> ReadyModel(
+    const std::string& domain, const std::string& model_path, uint64_t seed,
+    int train_docs, int train_steps, const std::string& id_prefix) {
+  fieldswap::SequenceLabelingModel model = fieldswap::api::NewModel(domain);
+  if (!model_path.empty()) {
+    if (fieldswap::api::LoadModel(model_path, model)) return model;
+    std::cerr << "fieldswap_serve: cannot load checkpoint " << model_path
+              << " (wrong domain or config?)\n";
+    return std::nullopt;
+  }
+  std::vector<Document> train_corpus = fieldswap::GenerateCorpus(
+      fieldswap::SpecByName(domain), train_docs, seed, id_prefix + "-train");
+  fieldswap::TrainOptions train;
+  train.total_steps = train_steps;
+  train.validate_every = std::min(train.validate_every, train_steps);
+  train.seed = seed ^ 0x5eedULL;
+  fieldswap::api::Train(model, train_corpus, {}, train);
+  return model;
+}
+
+/// The closing stderr summary, one line in both modes; with --stats also
+/// the metrics registry and span profile. Serve runs become observable
+/// without FS_METRICS_FILE/FS_TRACE_FILE plumbing: one self-describing
+/// JSON object on stderr.
+void PrintSummary(int served, double elapsed_ms, bool stats) {
+  fieldswap::obs::MetricsRegistry& metrics = fieldswap::obs::GlobalMetrics();
+  std::cerr << "fieldswap_serve: " << served << " responses in " << elapsed_ms
+            << " ms (" << (elapsed_ms > 0 ? served * 1000.0 / elapsed_ms : 0)
+            << " docs/s), batches="
+            << metrics.CounterValue("fieldswap.serve.batches")
+            << ", result_cache_hits="
+            << metrics.CounterValue("fieldswap.serve.result_cache_hits")
+            << ", encoded_cache_hits="
+            << metrics.CounterValue("fieldswap.serve.encoded_cache_hits")
+            << "\n";
+  if (!stats) return;
+  fieldswap::obs::PublishProcessGauges();
+  std::cerr << "{\"schema_version\": 1, \"metrics\": " << metrics.ExportJson()
+            << ", \"profile\": "
+            << fieldswap::obs::BuildGlobalProfile().ToJson() << "}\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,7 +257,7 @@ int main(int argc, char** argv) {
   args.AddInt("generate", 8, "documents to generate when --input is empty",
               &generate);
   args.AddInt("batch", 16, "max documents coalesced per batch", &batch);
-  args.AddInt("queue", 64, "admission queue capacity", &queue);
+  args.AddInt("queue", 64, "server-wide admission queue capacity", &queue);
   args.AddDouble("deadline-ms", 0, "per-request deadline (0 = none)",
                  &deadline_ms);
   args.AddInt("train-docs", 24,
@@ -272,6 +318,14 @@ int main(int argc, char** argv) {
               << "' is not available here (try --list-kernel-backends)\n";
     return 2;
   }
+  std::cerr << "fieldswap_serve: kernel backend "
+            << fieldswap::nn::KernelBackendName()
+            << (int8 ? ", int8 inference" : "") << "\n";
+  serve::ServeOptions options;
+  options.max_batch = batch;
+  options.queue_capacity = queue;
+  options.default_deadline_ms = deadline_ms;
+  options.int8_inference = int8;
 
   // ---- Multi-tenant mode ---------------------------------------------------
   if (!tenant_manifest.empty()) {
@@ -292,52 +346,26 @@ int main(int argc, char** argv) {
     std::shared_ptr<serve::ModelRegistry> registry = api::NewRegistry();
     std::vector<std::vector<Document>> corpora;
     for (const TenantSetup& tenant : setups) {
-      fieldswap::DomainSpec tenant_spec = fieldswap::SpecByName(tenant.domain);
-      fieldswap::SequenceLabelingModel model = api::NewModel(tenant.domain);
-      if (!tenant.model_path.empty()) {
-        if (!api::LoadModel(tenant.model_path, model)) {
-          std::cerr << "fieldswap_serve: cannot load checkpoint "
-                    << tenant.model_path << " for tenant " << tenant.name
-                    << " (wrong domain or config?)\n";
-          return 2;
-        }
-      } else {
-        std::vector<Document> train_corpus = fieldswap::GenerateCorpus(
-            tenant_spec, tenant.train_docs, tenant.seed,
-            tenant.name + "-train");
-        fieldswap::TrainOptions train;
-        train.total_steps = tenant.train_steps;
-        train.validate_every =
-            std::min(train.validate_every, tenant.train_steps);
-        train.seed = tenant.seed ^ 0x5eedULL;
-        api::Train(model, train_corpus, {}, train);
+      std::optional<fieldswap::SequenceLabelingModel> model =
+          ReadyModel(tenant.domain, tenant.model_path, tenant.seed,
+                     tenant.train_docs, tenant.train_steps, tenant.name);
+      if (!model.has_value()) return 2;
+      api::PublishModel(*registry, tenant.name, std::move(*model), "", int8);
+      serve::TenantQuota quota = registry->Quota(tenant.name);
+      if (tenant.queue_capacity > 0) {
+        quota.queue_capacity = tenant.queue_capacity;
       }
-      api::PublishModel(*registry, tenant.name, std::move(model), "", int8);
-      if (tenant.queue_capacity > 0 || tenant.batch_quantum > 0) {
-        serve::TenantQuota quota = registry->Quota(tenant.name);
-        if (tenant.queue_capacity > 0) {
-          quota.queue_capacity = tenant.queue_capacity;
-        }
-        if (tenant.batch_quantum > 0) quota.batch_quantum = tenant.batch_quantum;
-        registry->SetQuota(tenant.name, quota);
-      }
+      if (tenant.batch_quantum > 0) quota.batch_quantum = tenant.batch_quantum;
+      registry->SetQuota(tenant.name, quota);
       corpora.push_back(fieldswap::GenerateCorpus(
-          tenant_spec, tenant.generate, tenant.seed ^ 0x5e7feULL,
-          tenant.name + "-serve"));
+          fieldswap::SpecByName(tenant.domain), tenant.generate,
+          tenant.seed ^ 0x5e7feULL, tenant.name + "-serve"));
     }
     std::cerr << "fieldswap_serve: " << setups.size() << " tenants ready in "
               << setup_timer.ElapsedMs() << " ms\n";
 
-    serve::ServeOptions options;
-    options.max_batch = batch;
-    options.queue_capacity = queue;
-    options.default_deadline_ms = deadline_ms;
-    options.int8_inference = int8;
     std::unique_ptr<serve::MultiTenantServer> server =
         api::ServeTenants(registry, options);
-    std::cerr << "fieldswap_serve: kernel backend "
-              << fieldswap::nn::KernelBackendName()
-              << (int8 ? ", int8 inference" : "") << "\n";
 
     // Submission plan: round-robin interleave across tenants, optionally
     // shuffled with a seed-deterministic Fisher-Yates. The plan (and so
@@ -367,9 +395,8 @@ int main(int argc, char** argv) {
         ids.push_back(server->Submit(setups[t].name, corpora[t][d]));
       }
       for (size_t i = 0; i < ids.size(); ++i) {
-        ExtractResponse response = server->Wait(ids[i]);
-        std::cout << ResponseToJson(corpora[plan[i].first][plan[i].second],
-                                    response)
+        const auto& [t, d] = plan[i];
+        std::cout << ResponseToJson(corpora[t][d], server->Wait(ids[i]))
                   << "\n";
         ++served;
       }
@@ -387,22 +414,7 @@ int main(int argc, char** argv) {
                 << ", max_batches_waited=" << tenant_stats.max_batches_waited
                 << "\n";
     }
-    fieldswap::obs::MetricsRegistry& metrics = fieldswap::obs::GlobalMetrics();
-    std::cerr << "fieldswap_serve: " << served << " responses in "
-              << elapsed_ms << " ms ("
-              << (elapsed_ms > 0 ? served * 1000.0 / elapsed_ms : 0)
-              << " docs/s), batches=" << server->batches_run()
-              << ", result_cache_hits="
-              << metrics.CounterValue(
-                     "fieldswap.serve.tenant.result_cache_hits")
-              << "\n";
-    if (stats) {
-      obs::PublishProcessGauges();
-      std::cerr << "{\"schema_version\": 1, \"metrics\": "
-                << metrics.ExportJson()
-                << ", \"profile\": " << obs::BuildGlobalProfile().ToJson()
-                << "}\n";
-    }
+    PrintSummary(served, elapsed_ms, stats);
     return 0;
   }
 
@@ -448,37 +460,15 @@ int main(int argc, char** argv) {
 
   // The model: checkpoint, or a quick in-process train.
   obs::Stopwatch setup_timer;
-  fieldswap::SequenceLabelingModel model = api::NewModel(domain);
-  if (!model_path.empty()) {
-    if (!api::LoadModel(model_path, model)) {
-      std::cerr << "fieldswap_serve: cannot load checkpoint " << model_path
-                << " (wrong --domain or config?)\n";
-      return 2;
-    }
-  } else {
-    std::vector<Document> train_corpus = fieldswap::GenerateCorpus(
-        spec, train_docs, seed64, domain + "-train");
-    fieldswap::TrainOptions train;
-    train.total_steps = train_steps;
-    train.validate_every = std::min(train.validate_every, train_steps);
-    train.seed = seed64 ^ 0x5eedULL;
-    api::Train(model, train_corpus, {}, train);
-  }
+  std::optional<fieldswap::SequenceLabelingModel> model = ReadyModel(
+      domain, model_path, seed64, train_docs, train_steps, domain);
+  if (!model.has_value()) return 2;
   std::cerr << "fieldswap_serve: model ready in " << setup_timer.ElapsedMs()
             << " ms (" << (model_path.empty() ? "in-process training"
                                               : model_path)
             << ")\n";
-
-  serve::ServeOptions options;
-  options.max_batch = batch;
-  options.queue_capacity = queue;
-  options.default_deadline_ms = deadline_ms;
-  options.int8_inference = int8;
   std::unique_ptr<serve::ExtractionServer> server =
-      api::Serve(std::move(model), options);
-  std::cerr << "fieldswap_serve: kernel backend "
-            << fieldswap::nn::KernelBackendName()
-            << (int8 ? ", int8 inference" : "") << "\n";
+      api::Serve(std::move(*model), options);
 
   obs::Stopwatch serve_timer;
   int served = 0;
@@ -489,26 +479,6 @@ int main(int argc, char** argv) {
       ++served;
     }
   }
-  double elapsed_ms = serve_timer.ElapsedMs();
-
-  fieldswap::obs::MetricsRegistry& metrics = fieldswap::obs::GlobalMetrics();
-  std::cerr << "fieldswap_serve: " << served << " responses in " << elapsed_ms
-            << " ms (" << (elapsed_ms > 0 ? served * 1000.0 / elapsed_ms : 0)
-            << " docs/s), batches="
-            << metrics.CounterValue("fieldswap.serve.batches")
-            << ", result_cache_hits="
-            << metrics.CounterValue("fieldswap.serve.result_cache_hits")
-            << ", encoded_cache_hits="
-            << metrics.CounterValue("fieldswap.serve.encoded_cache_hits")
-            << "\n";
-  if (stats) {
-    // Serve runs become observable without FS_METRICS_FILE/FS_TRACE_FILE
-    // plumbing: one self-describing JSON object on stderr.
-    obs::PublishProcessGauges();
-    std::cerr << "{\"schema_version\": 1, \"metrics\": "
-              << metrics.ExportJson()
-              << ", \"profile\": " << obs::BuildGlobalProfile().ToJson()
-              << "}\n";
-  }
+  PrintSummary(served, serve_timer.ElapsedMs(), stats);
   return 0;
 }
