@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/field_pairs.h"
@@ -8,8 +10,11 @@
 #include "core/pipeline.h"
 #include "core/swap.h"
 #include "ocr/line_detector.h"
+#include "par/parallel.h"
 #include "synth/domains.h"
 #include "synth/generator.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace fieldswap {
 namespace {
@@ -550,6 +555,330 @@ TEST(PipelineTest, SyntheticsPreserveDomainAndGeometry) {
     EXPECT_GT(doc.num_tokens(), 0);
     for (const EntitySpan& span : doc.annotations()) {
       EXPECT_LE(span.end_token(), doc.num_tokens());
+    }
+  }
+}
+
+
+// ---- Augmentation oracle ----------------------------------------------------
+//
+// A verbatim copy of the copy-per-swap generator (one full Document per
+// candidate swap, then an Rng subsample) that GenerateSyntheticDocuments
+// replaced with plan-then-materialize. The production code must keep
+// emitting exactly what this reference emits: same ids, order, tokens,
+// boxes, lines, annotations and SwapStats.
+
+namespace oracle {
+
+bool SamePhrase(const std::vector<std::string>& a,
+                const std::vector<std::string>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!EqualsIgnoreCase(TrimPunctuation(a[i]), TrimPunctuation(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool OverlapsAnyAnnotation(const Document& doc, const PhraseMatch& match) {
+  for (const EntitySpan& span : doc.annotations()) {
+    if (match.first_token < span.end_token() &&
+        span.first_token < match.first_token + match.num_tokens) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<PhraseMatch> CollectSourceMatches(
+    const Document& doc, const std::vector<KeyPhrase>& source_phrases) {
+  std::vector<PhraseMatch> all;
+  for (const KeyPhrase& phrase : source_phrases) {
+    for (const PhraseMatch& match : doc.FindPhrase(phrase.words)) {
+      if (!OverlapsAnyAnnotation(doc, match)) all.push_back(match);
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const PhraseMatch& a, const PhraseMatch& b) {
+              if (a.num_tokens != b.num_tokens) {
+                return a.num_tokens > b.num_tokens;
+              }
+              return a.first_token < b.first_token;
+            });
+  std::vector<PhraseMatch> kept;
+  for (const PhraseMatch& match : all) {
+    bool overlaps = false;
+    for (const PhraseMatch& existing : kept) {
+      if (match.first_token < existing.first_token + existing.num_tokens &&
+          existing.first_token < match.first_token + match.num_tokens) {
+        overlaps = true;
+        break;
+      }
+    }
+    if (!overlaps) kept.push_back(match);
+  }
+  std::sort(kept.begin(), kept.end(),
+            [](const PhraseMatch& a, const PhraseMatch& b) {
+              return a.first_token < b.first_token;
+            });
+  return kept;
+}
+
+std::optional<Document> SwapOnce(const Document& doc,
+                                 const std::string& source_field,
+                                 const std::string& target_field,
+                                 const KeyPhrase& target_phrase,
+                                 const KeyPhraseConfig& phrases,
+                                 const FieldSwapOptions& options) {
+  if (!doc.HasField(source_field)) return std::nullopt;
+  auto source_it = phrases.find(source_field);
+  if (source_it == phrases.end()) return std::nullopt;
+  std::vector<PhraseMatch> matches =
+      oracle::CollectSourceMatches(doc, source_it->second);
+  if (matches.empty()) return std::nullopt;
+
+  std::vector<std::string> affected_fields;
+  if (options.drop_affected_fields) {
+    for (const auto& [field, field_phrases] : phrases) {
+      if (field == source_field) continue;
+      bool target_is_theirs = false;
+      for (const KeyPhrase& p : field_phrases) {
+        if (SamePhrase(p.words, target_phrase.words)) target_is_theirs = true;
+      }
+      if (target_is_theirs) continue;
+      bool affected = false;
+      for (const KeyPhrase& p : field_phrases) {
+        for (const PhraseMatch& m : doc.FindPhrase(p.words)) {
+          for (const PhraseMatch& replaced : matches) {
+            if (m.first_token < replaced.first_token + replaced.num_tokens &&
+                replaced.first_token < m.first_token + m.num_tokens) {
+              affected = true;
+            }
+          }
+        }
+      }
+      if (affected) affected_fields.push_back(field);
+    }
+  }
+
+  Document synthetic = doc;
+  for (auto it = matches.rbegin(); it != matches.rend(); ++it) {
+    std::vector<std::string> replacement = target_phrase.words;
+    const std::string& old_last =
+        doc.token(it->first_token + it->num_tokens - 1).text;
+    if (!old_last.empty() && old_last.back() == ':' &&
+        (replacement.back().empty() || replacement.back().back() != ':')) {
+      replacement.back().push_back(':');
+    }
+    synthetic.ReplaceTokenRange(it->first_token, it->num_tokens, replacement);
+  }
+
+  if (!affected_fields.empty()) {
+    std::vector<EntitySpan> kept;
+    for (const EntitySpan& span : synthetic.annotations()) {
+      if (std::find(affected_fields.begin(), affected_fields.end(),
+                    span.field) == affected_fields.end()) {
+        kept.push_back(span);
+      }
+    }
+    synthetic.mutable_annotations() = std::move(kept);
+  }
+  for (EntitySpan& span : synthetic.mutable_annotations()) {
+    if (span.field == source_field) span.field = target_field;
+  }
+
+  if (options.discard_unchanged && synthetic.SameTokenTexts(doc)) {
+    return std::nullopt;
+  }
+  return synthetic;
+}
+
+/// The max_synthetics subsample, split out so one uncapped reference run
+/// serves every cap.
+std::vector<Document> Subsample(std::vector<Document> synthetics,
+                                const FieldSwapOptions& options) {
+  if (options.max_synthetics > 0 &&
+      static_cast<int>(synthetics.size()) > options.max_synthetics) {
+    Rng rng(options.sample_seed);
+    rng.Shuffle(synthetics);
+    synthetics.resize(static_cast<size_t>(options.max_synthetics));
+  }
+  return synthetics;
+}
+
+std::vector<Document> GenerateSyntheticDocuments(
+    const std::vector<Document>& train_docs, const KeyPhraseConfig& phrases,
+    const std::vector<FieldPair>& pairs, const FieldSwapOptions& options,
+    SwapStats* stats) {
+  SwapStats local_stats;
+  std::vector<Document> synthetics;
+  for (const Document& doc : train_docs) {
+    for (const FieldPair& pair : pairs) {
+      auto source_it = phrases.find(pair.source);
+      auto target_it = phrases.find(pair.target);
+      if (source_it == phrases.end() || target_it == phrases.end()) continue;
+      if (!doc.HasField(pair.source)) continue;
+      if (oracle::CollectSourceMatches(doc, source_it->second).empty()) continue;
+      ++local_stats.pairs_with_match;
+      int emitted = 0;
+      for (const KeyPhrase& target_phrase : target_it->second) {
+        std::optional<Document> synthetic = oracle::SwapOnce(
+            doc, pair.source, pair.target, target_phrase, phrases, options);
+        if (!synthetic.has_value()) {
+          ++local_stats.discarded_unchanged;
+          continue;
+        }
+        synthetic->set_id(doc.id() + "#swap:" + pair.source + ">" +
+                          pair.target + ":" + std::to_string(emitted));
+        synthetics.push_back(std::move(*synthetic));
+        ++emitted;
+        ++local_stats.generated;
+      }
+    }
+  }
+  if (stats != nullptr) *stats = local_stats;
+  return Subsample(std::move(synthetics), options);
+}
+
+}  // namespace oracle
+
+void ExpectSameDocuments(const std::vector<Document>& expected,
+                         const std::vector<Document>& actual,
+                         const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Document& e = expected[i];
+    const Document& a = actual[i];
+    SCOPED_TRACE(context + " synthetic " + std::to_string(i) + " " + e.id());
+    ASSERT_EQ(e.id(), a.id());
+    EXPECT_EQ(e.domain(), a.domain());
+    EXPECT_EQ(e.width(), a.width());
+    EXPECT_EQ(e.height(), a.height());
+    ASSERT_EQ(e.tokens(), a.tokens());  // text, box and line of every token
+    ASSERT_EQ(e.lines().size(), a.lines().size());
+    for (size_t l = 0; l < e.lines().size(); ++l) {
+      EXPECT_EQ(e.lines()[l].token_indices, a.lines()[l].token_indices);
+      EXPECT_EQ(e.lines()[l].box, a.lines()[l].box);
+    }
+    EXPECT_EQ(e.annotations(), a.annotations());
+  }
+}
+
+void ExpectMatchesOracleAt(const std::vector<Document>& docs,
+                           const KeyPhraseConfig& phrases,
+                           const std::vector<FieldPair>& pairs,
+                           const FieldSwapOptions& options,
+                           const SwapStats& expected_stats,
+                           const std::vector<Document>& expected,
+                           const std::string& context) {
+  for (int threads : {1, 4}) {
+    const int saved = par::Threads();
+    par::SetThreads(threads);
+    SwapStats stats;
+    std::vector<Document> actual =
+        GenerateSyntheticDocuments(docs, phrases, pairs, options, &stats);
+    par::SetThreads(saved);
+    const std::string where = context + " threads=" + std::to_string(threads);
+    EXPECT_EQ(expected_stats.generated, stats.generated) << where;
+    EXPECT_EQ(expected_stats.discarded_unchanged, stats.discarded_unchanged)
+        << where;
+    EXPECT_EQ(expected_stats.pairs_with_match, stats.pairs_with_match)
+        << where;
+    ExpectSameDocuments(expected, actual, where);
+  }
+}
+
+/// Runs the reference once uncapped, then checks the production generator
+/// against it at every cap in `caps`, at 1 and 4 threads. Returns the
+/// uncapped synthetic count.
+size_t ExpectMatchesOracle(const std::vector<Document>& docs,
+                         const KeyPhraseConfig& phrases,
+                         const std::vector<FieldPair>& pairs,
+                         FieldSwapOptions options,
+                         const std::vector<int>& caps,
+                         const std::string& context) {
+  options.max_synthetics = 0;
+  SwapStats expected_stats;
+  const std::vector<Document> uncapped = oracle::GenerateSyntheticDocuments(
+      docs, phrases, pairs, options, &expected_stats);
+  for (int cap : caps) {
+    options.max_synthetics = cap;
+    ExpectMatchesOracleAt(docs, phrases, pairs, options, expected_stats,
+                          oracle::Subsample(uncapped, options),
+                          context + " cap=" + std::to_string(cap));
+  }
+  return uncapped.size();
+}
+
+TEST(AugmentationOracleTest, MatchesCopyPerSwapGeneratorOnEveryDomain) {
+  size_t most_uncapped = 0;
+  for (const char* name : {"fara", "fcc_forms", "brokerage_statements",
+                           "earnings", "loan_payments", "invoices"}) {
+    DomainSpec spec = SpecByName(name);
+    std::vector<Document> docs = GenerateCorpus(spec, 8, 41, "oracle");
+    HumanExpertConfig expert = MakeHumanExpertConfig(spec);
+    const std::vector<std::pair<std::string, std::vector<FieldPair>>>
+        pair_sets = {
+            {"expert", expert.pairs},
+            {"f2f", BuildFieldPairs(spec.Schema(),
+                                    MappingStrategy::kFieldToField,
+                                    expert.phrases)},
+            {"t2t", BuildFieldPairs(spec.Schema(),
+                                    MappingStrategy::kTypeToType,
+                                    expert.phrases)},
+        };
+    for (const auto& [label, pairs] : pair_sets) {
+      most_uncapped = std::max(
+          most_uncapped,
+          ExpectMatchesOracle(docs, expert.phrases, pairs, FieldSwapOptions{},
+                              {0, 250}, std::string(name) + "/" + label));
+    }
+  }
+  EXPECT_GT(most_uncapped, 250u) << "the 250 cap must bite somewhere";
+}
+
+TEST(AugmentationOracleTest, MatchesOnColonsOverlapsAndUnchangedSwaps) {
+  // PayRowDoc covers a colon-styled label ("Pay:"), overlapping source
+  // phrases ("Base Salary" over "Base"), a same-text swap that is
+  // discarded, and a sibling field the consistency filter drops.
+  std::vector<Document> docs = {PayRowDoc()};
+  KeyPhraseConfig config = PayRowConfig();
+  config["net_pay"].push_back(MakePhrase({"Take", "Home", "Pay:"}));
+  config["net_pay"].push_back(MakePhrase({"net", "pay"}));
+  config["current.bonus"].push_back(MakePhrase({"Base", "Salary"}));
+  std::vector<FieldPair> pairs;
+  for (const auto& [source, unused_source] : config) {
+    for (const auto& [target, unused_target] : config) {
+      pairs.push_back(FieldPair{source, target});
+    }
+  }
+
+  // Swaps whose token count is unchanged overall while individual matches
+  // grow and shrink: "X" (1 token) and "A X A" (3 tokens) both become
+  // "X A", so the text is the same as the original even though each
+  // replaced range changed. The unchanged rule is about the whole text.
+  Document shifty("s", "test", 612, 792);
+  for (const char* text : {"X", "A", "X", "A", "$1.00"}) {
+    const double x = 40.0 * static_cast<double>(shifty.num_tokens());
+    shifty.AddToken(text, BBox{x, 0, x + 30, 10});
+  }
+  DetectAndAssignLines(shifty);
+  shifty.AddAnnotation(EntitySpan{"amount", 4, 1});
+  docs.push_back(shifty);
+  config["amount"] = {MakePhrase({"A", "X", "A"}), MakePhrase({"X"})};
+  config["other"] = {MakePhrase({"X", "A"}), MakePhrase({"x", "a"})};
+  pairs.push_back(FieldPair{"amount", "other"});
+  pairs.push_back(FieldPair{"amount", "amount"});
+
+  for (bool discard : {true, false}) {
+    for (bool drop : {true, false}) {
+      FieldSwapOptions options;
+      options.discard_unchanged = discard;
+      options.drop_affected_fields = drop;
+      ExpectMatchesOracle(docs, config, pairs, options, {0, 3},
+                          "discard=" + std::to_string(discard) +
+                              " drop=" + std::to_string(drop));
     }
   }
 }
