@@ -6,16 +6,17 @@
 
 namespace fieldswap {
 
-AugmentationResult RunFieldSwap(const std::vector<Document>& train_docs,
-                                const DomainSpec& spec,
-                                const CandidateScoringModel* candidate_model,
-                                const FieldSwapPipelineOptions& options) {
-  FS_TRACE_SPAN("pipeline.run_fieldswap");
+namespace {
+
+/// Steps (1) and (2) of Fig. 3: the key phrases and the field pairs.
+void ChoosePhrasesAndPairs(const std::vector<Document>& train_docs,
+                           const DomainSpec& spec,
+                           const CandidateScoringModel* candidate_model,
+                           const FieldSwapPipelineOptions& options,
+                           AugmentationResult& result) {
   obs::CounterAdd("fieldswap.pipeline.runs");
   obs::CounterAdd("fieldswap.pipeline.input_docs",
                   static_cast<int64_t>(train_docs.size()));
-  AugmentationResult result;
-
   if (options.strategy == MappingStrategy::kHumanExpert) {
     FS_TRACE_SPAN("pipeline.expert_config");
     HumanExpertConfig expert = MakeHumanExpertConfig(spec);
@@ -37,7 +38,17 @@ AugmentationResult RunFieldSwap(const std::vector<Document>& train_docs,
   }
   obs::CounterAdd("fieldswap.pipeline.field_pairs",
                   static_cast<int64_t>(result.pairs.size()));
+}
 
+}  // namespace
+
+AugmentationResult RunFieldSwap(const std::vector<Document>& train_docs,
+                                const DomainSpec& spec,
+                                const CandidateScoringModel* candidate_model,
+                                const FieldSwapPipelineOptions& options) {
+  FS_TRACE_SPAN("pipeline.run_fieldswap");
+  AugmentationResult result;
+  ChoosePhrasesAndPairs(train_docs, spec, candidate_model, options, result);
   {
     FS_TRACE_SPAN("pipeline.swap");
     result.synthetics = GenerateSyntheticDocuments(
@@ -46,6 +57,17 @@ AugmentationResult RunFieldSwap(const std::vector<Document>& train_docs,
   obs::CounterAdd("fieldswap.pipeline.synthetic_docs",
                   static_cast<int64_t>(result.synthetics.size()));
   return result;
+}
+
+SwapStats CountFieldSwapSynthetics(const std::vector<Document>& train_docs,
+                                   const DomainSpec& spec,
+                                   const CandidateScoringModel* candidate_model,
+                                   const FieldSwapPipelineOptions& options) {
+  FS_TRACE_SPAN("pipeline.count_fieldswap");
+  AugmentationResult result;
+  ChoosePhrasesAndPairs(train_docs, spec, candidate_model, options, result);
+  return CountSyntheticDocuments(train_docs, result.phrases, result.pairs,
+                                 options.swap);
 }
 
 }  // namespace fieldswap

@@ -39,6 +39,14 @@ AugmentationResult RunFieldSwap(const std::vector<Document>& train_docs,
                                 const CandidateScoringModel* candidate_model,
                                 const FieldSwapPipelineOptions& options);
 
+/// RunFieldSwap's SwapStats without building any synthetic document: the
+/// same key phrases and pairs, then CountSyntheticDocuments. `generated`
+/// is the uncapped count (Table III).
+SwapStats CountFieldSwapSynthetics(const std::vector<Document>& train_docs,
+                                   const DomainSpec& spec,
+                                   const CandidateScoringModel* candidate_model,
+                                   const FieldSwapPipelineOptions& options);
+
 }  // namespace fieldswap
 
 #endif  // FIELDSWAP_CORE_PIPELINE_H_

@@ -67,10 +67,25 @@ std::optional<Document> SwapOnce(const Document& doc,
 /// Full FieldSwap generation (Fig. 3 step 2): for every training document
 /// and every source-to-target pair whose source field is present with a
 /// matching key phrase, emit one synthetic document per target key phrase.
+///
+/// Plan, then materialize: each document's key phrase matches are found
+/// once, every swap is enumerated as a small descriptor (and the
+/// discard-unchanged rule decided on the words, without a copy), the
+/// descriptors are subsampled to `max_synthetics`, and only the kept ones
+/// are built. Ids, order and content are exactly those of building every
+/// swap with SwapOnce and shuffling the documents with the same Rng
+/// (pinned by tests/core_test.cc's oracle), at any thread count.
 std::vector<Document> GenerateSyntheticDocuments(
     const std::vector<Document>& train_docs, const KeyPhraseConfig& phrases,
     const std::vector<FieldPair>& pairs, const FieldSwapOptions& options,
     SwapStats* stats = nullptr);
+
+/// The SwapStats GenerateSyntheticDocuments would report, from the plan
+/// alone: no synthetic document is built (Table III counts).
+SwapStats CountSyntheticDocuments(const std::vector<Document>& train_docs,
+                                  const KeyPhraseConfig& phrases,
+                                  const std::vector<FieldPair>& pairs,
+                                  const FieldSwapOptions& options);
 
 }  // namespace fieldswap
 

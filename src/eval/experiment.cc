@@ -212,11 +212,9 @@ double ExperimentRunner::CountSynthetics(const ExperimentSetting& setting,
   for (int subset_index = 0; subset_index < config_.num_subsets;
        ++subset_index) {
     std::vector<Document> originals = Subset(train_size, subset_index);
-    FieldSwapPipelineOptions options = *setting.augmentation;
-    options.swap.max_synthetics = 0;  // uncapped counting
-    AugmentationResult augmented =
-        RunFieldSwap(originals, spec_, candidate_model_, options);
-    counts.push_back(static_cast<double>(augmented.stats.generated));
+    SwapStats stats = CountFieldSwapSynthetics(
+        originals, spec_, candidate_model_, *setting.augmentation);
+    counts.push_back(static_cast<double>(stats.generated));
   }
   return Mean(counts);
 }

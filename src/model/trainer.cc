@@ -28,6 +28,48 @@ double MicroF1OnDocs(const SequenceLabelingModel& model,
   return F1FromCounts(counts);
 }
 
+namespace {
+
+/// Ascending ids of the rows that `ids` reaches in any pooled document.
+std::vector<int> RowsReached(int rows, const std::vector<EncodedDoc>& orig,
+                             const std::vector<EncodedDoc>& synth,
+                             std::vector<int> EncodedDoc::*ids) {
+  std::vector<char> reached(static_cast<size_t>(rows), 0);
+  for (const std::vector<EncodedDoc>* pool : {&orig, &synth}) {
+    for (const EncodedDoc& doc : *pool) {
+      for (int id : doc.*ids) reached[static_cast<size_t>(id)] = 1;
+    }
+  }
+  std::vector<int> live;
+  for (int r = 0; r < rows; ++r) {
+    if (reached[static_cast<size_t>(r)] != 0) live.push_back(r);
+  }
+  return live;
+}
+
+/// Narrows the optimizer to the embedding rows the training pools reach.
+/// Every step's loss comes from one pooled document, and an embedding
+/// lookup's backward only scatter-adds into the rows it read, so any other
+/// row's gradient is exactly zero at every step (AdamOptimizer::SetLiveRows).
+void SetEmbeddingLiveRows(const std::vector<NamedParam>& params,
+                          const std::vector<EncodedDoc>& orig,
+                          const std::vector<EncodedDoc>& synth,
+                          AdamOptimizer& optimizer) {
+  int narrowed = 0;
+  for (size_t p = 0; p < params.size(); ++p) {
+    std::vector<int> EncodedDoc::*ids = nullptr;
+    if (params[p].name == "seq.text_emb.table") ids = &EncodedDoc::text_ids;
+    if (params[p].name == "seq.shape_emb.table") ids = &EncodedDoc::shape_ids;
+    if (ids == nullptr) continue;
+    optimizer.SetLiveRows(
+        p, RowsReached(params[p].param->value.rows(), orig, synth, ids));
+    ++narrowed;
+  }
+  FS_CHECK_EQ(narrowed, 2) << "embedding tables not found by name";
+}
+
+}  // namespace
+
 TrainResult TrainSequenceModel(SequenceLabelingModel& model,
                                const doc::CorpusReader& originals,
                                const doc::CorpusReader* synthetics,
@@ -76,6 +118,7 @@ TrainResult TrainSequenceModel(SequenceLabelingModel& model,
   opt_options.learning_rate = options.learning_rate;
   std::vector<NamedParam> params = model.Params();
   AdamOptimizer optimizer(params, opt_options);
+  SetEmbeddingLiveRows(params, encoded_orig, encoded_synth, optimizer);
 
   TrainResult result;
   std::vector<Matrix> best_snapshot = SnapshotParams(params);
@@ -93,8 +136,7 @@ TrainResult TrainSequenceModel(SequenceLabelingModel& model,
     Var loss = model.Loss(doc);
     result.final_loss = loss->value.At(0, 0);
     Backward(loss);
-    obs::GaugeSet("fieldswap.train.grad_norm", GlobalGradNorm(params));
-    optimizer.Step();
+    obs::GaugeSet("fieldswap.train.grad_norm", optimizer.Step());
     ++result.steps;
 
     double step_ms = step_timer.ElapsedMs();

@@ -15,6 +15,8 @@
 //     sums with a tree reduction, which reorders the scalar left-to-right
 //     chain. Same pinned ulps-at-scale bound covers them.
 //   - integer kernels (quantize_i8, gemm_i8) are exact and bit-identical.
+//   - adam_update is exact too: it keeps every scalar rounding and fuses
+//     nothing (see NoFuse).
 // Within THIS backend every kernel is deterministic: blocking (RowQuad vs
 // RowChunk vs scalar tail) never changes the per-element k-order for float,
 // and integer accumulation is exact, so any tiling is bit-stable.
@@ -447,6 +449,54 @@ void Avx2GemmI8(const int8_t* a, const int8_t* bt, int32_t* c, int m, int k,
   }
 }
 
+/// Hides a value from the optimizer so the product it holds cannot be
+/// contracted into an FMA with the add that consumes it: this file is
+/// compiled with -mfma, and GCC contracts mul+add across intrinsics.
+inline __m256 NoFuse(__m256 x) {
+  __asm__("" : "+x"(x));
+  return x;
+}
+
+/// Adam, eight lanes at a time, with the scalar loop's roundings exactly:
+/// separate multiplies and adds, and _mm256_div_ps / _mm256_sqrt_ps, which
+/// are correctly rounded. The tail runs the scalar kernel itself.
+void Avx2AdamUpdate(float* w, float* g, float* m, float* v, int n, float b1,
+                    float b2, float bias1, float bias2, float learning_rate,
+                    float epsilon) {
+  const __m256 vb1 = _mm256_set1_ps(b1);
+  const __m256 vc1 = _mm256_set1_ps(1.0f - b1);
+  const __m256 vb2 = _mm256_set1_ps(b2);
+  const __m256 vc2 = _mm256_set1_ps(1.0f - b2);
+  const __m256 vbias1 = _mm256_set1_ps(bias1);
+  const __m256 vbias2 = _mm256_set1_ps(bias2);
+  const __m256 vlr = _mm256_set1_ps(learning_rate);
+  const __m256 veps = _mm256_set1_ps(epsilon);
+  const __m256 zero = _mm256_setzero_ps();
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 mv =
+        _mm256_add_ps(NoFuse(_mm256_mul_ps(vb1, _mm256_loadu_ps(m + i))),
+                      NoFuse(_mm256_mul_ps(vc1, gv)));
+    const __m256 vv = _mm256_add_ps(
+        NoFuse(_mm256_mul_ps(vb2, _mm256_loadu_ps(v + i))),
+        NoFuse(_mm256_mul_ps(_mm256_mul_ps(vc2, gv), gv)));
+    _mm256_storeu_ps(m + i, mv);
+    _mm256_storeu_ps(v + i, vv);
+    const __m256 mhat = _mm256_div_ps(mv, vbias1);
+    const __m256 vhat = _mm256_div_ps(vv, vbias2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(vlr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), veps));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+    _mm256_storeu_ps(g + i, zero);
+  }
+  if (i < n) {
+    ScalarKernels().adam_update(w + i, g + i, m + i, v + i, n - i, b1, b2,
+                                bias1, bias2, learning_rate, epsilon);
+  }
+}
+
 }  // namespace
 
 const Kernels* Avx2Kernels() {
@@ -456,7 +506,7 @@ const Kernels* Avx2Kernels() {
   static const Kernels kAvx2 = {
       "avx2",         Avx2Gemm,    Avx2GemmTransA, Avx2GemmTransB,
       Avx2Dot,        Avx2Axpy,    Avx2LayerNorm,  Avx2AttentionRow,
-      Avx2QuantizeI8, Avx2GemmI8,
+      Avx2QuantizeI8, Avx2GemmI8,  Avx2AdamUpdate,
   };
   return &kAvx2;
 }

@@ -18,7 +18,8 @@
 ///     implicit in buffer state.
 ///   - Different backends may round differently (FMA, vectorized
 ///     reductions); scalar is the reference and SIMD backends must stay
-///     within the pinned ulp bounds of tests/kernels_test.cc.
+///     within the pinned ulp bounds of tests/kernels_test.cc. adam_update
+///     is the exception: it is bit-identical in every backend.
 
 namespace fieldswap {
 namespace nn {
@@ -66,6 +67,16 @@ struct Kernels {
   /// with int32 accumulation. Callers dequantize with scale_a * scale_b.
   void (*gemm_i8)(const int8_t* a, const int8_t* bt, int32_t* c, int m, int k,
                   int n);
+
+  /// One Adam step over n parameters, each element in this IEEE order:
+  ///   m = b1*m + (1-b1)*g;   v = b2*v + ((1-b2)*g)*g;
+  ///   w = w - (lr*(m/bias1)) / (sqrt(v/bias2) + epsilon);   g = 0.
+  /// The one exact kernel: every backend does these roundings and no
+  /// others (no FMA; sqrt and division correctly rounded), so all backends
+  /// are bit-identical to the scalar loop.
+  void (*adam_update)(float* w, float* g, float* m, float* v, int n, float b1,
+                      float b2, float bias1, float bias2, float learning_rate,
+                      float epsilon);
 };
 
 /// The scalar reference backend (always available).

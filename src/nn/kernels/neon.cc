@@ -6,6 +6,8 @@
 //   - dot / gemm_trans_b / attention scores use 2-way vector partial sums
 //     with a tree reduction; ulp bounds pinned by tests/kernels_test.cc.
 //   - integer kernels are exact.
+//   - adam_update is exact too: it keeps every scalar rounding and fuses
+//     nothing (see NoFuse).
 
 #include "nn/kernels/backend.h"
 
@@ -177,13 +179,58 @@ void NeonGemmI8(const int8_t* a, const int8_t* bt, int32_t* c, int m, int k,
   }
 }
 
+/// Hides a value from the optimizer so the product it holds cannot be
+/// contracted into an FMA with the add that consumes it.
+inline float32x4_t NoFuse(float32x4_t x) {
+  __asm__("" : "+w"(x));
+  return x;
+}
+
+/// Adam, four lanes at a time, with the scalar loop's roundings exactly:
+/// separate multiplies and adds, and vdivq_f32 / vsqrtq_f32, which are
+/// correctly rounded. The tail runs the scalar kernel itself.
+void NeonAdamUpdate(float* w, float* g, float* m, float* v, int n, float b1,
+                    float b2, float bias1, float bias2, float learning_rate,
+                    float epsilon) {
+  const float32x4_t vb1 = vdupq_n_f32(b1);
+  const float32x4_t vc1 = vdupq_n_f32(1.0f - b1);
+  const float32x4_t vb2 = vdupq_n_f32(b2);
+  const float32x4_t vc2 = vdupq_n_f32(1.0f - b2);
+  const float32x4_t vbias1 = vdupq_n_f32(bias1);
+  const float32x4_t vbias2 = vdupq_n_f32(bias2);
+  const float32x4_t vlr = vdupq_n_f32(learning_rate);
+  const float32x4_t veps = vdupq_n_f32(epsilon);
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float32x4_t gv = vld1q_f32(g + i);
+    const float32x4_t mv = vaddq_f32(NoFuse(vmulq_f32(vb1, vld1q_f32(m + i))),
+                                     NoFuse(vmulq_f32(vc1, gv)));
+    const float32x4_t vv =
+        vaddq_f32(NoFuse(vmulq_f32(vb2, vld1q_f32(v + i))),
+                  NoFuse(vmulq_f32(vmulq_f32(vc2, gv), gv)));
+    vst1q_f32(m + i, mv);
+    vst1q_f32(v + i, vv);
+    const float32x4_t mhat = vdivq_f32(mv, vbias1);
+    const float32x4_t vhat = vdivq_f32(vv, vbias2);
+    const float32x4_t step = vdivq_f32(vmulq_f32(vlr, mhat),
+                                       vaddq_f32(vsqrtq_f32(vhat), veps));
+    vst1q_f32(w + i, vsubq_f32(vld1q_f32(w + i), step));
+    vst1q_f32(g + i, zero);
+  }
+  if (i < n) {
+    ScalarKernels().adam_update(w + i, g + i, m + i, v + i, n - i, b1, b2,
+                                bias1, bias2, learning_rate, epsilon);
+  }
+}
+
 }  // namespace
 
 const Kernels* NeonKernels() {
   static const Kernels kNeon = {
       "neon",         NeonGemm,    NeonGemmTransA, NeonGemmTransB,
       NeonDot,        NeonAxpy,    NeonLayerNorm,  NeonAttentionRow,
-      NeonQuantizeI8, NeonGemmI8,
+      NeonQuantizeI8, NeonGemmI8,  NeonAdamUpdate,
   };
   return &kNeon;
 }

@@ -142,13 +142,26 @@ void ScalarGemmI8(const int8_t* a, const int8_t* bt, int32_t* c, int m, int k,
   }
 }
 
+void ScalarAdamUpdate(float* w, float* g, float* m, float* v, int n, float b1,
+                      float b2, float bias1, float bias2, float learning_rate,
+                      float epsilon) {
+  for (int i = 0; i < n; ++i) {
+    m[i] = b1 * m[i] + (1.0f - b1) * g[i];
+    v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
+    float mhat = m[i] / bias1;
+    float vhat = v[i] / bias2;
+    w[i] -= learning_rate * mhat / (std::sqrt(vhat) + epsilon);
+    g[i] = 0.0f;
+  }
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
   static const Kernels kScalar = {
       "scalar",          ScalarGemm,    ScalarGemmTransA, ScalarGemmTransB,
       ScalarDot,         ScalarAxpy,    ScalarLayerNorm,  ScalarAttentionRow,
-      ScalarQuantizeI8,  ScalarGemmI8,
+      ScalarQuantizeI8,  ScalarGemmI8,  ScalarAdamUpdate,
   };
   return kScalar;
 }

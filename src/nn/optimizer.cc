@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/kernels/backend.h"
 #include "util/logging.h"
 
 namespace fieldswap {
@@ -11,39 +12,82 @@ AdamOptimizer::AdamOptimizer(std::vector<NamedParam> params,
     : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
+  spans_.reserve(params_.size());
   for (const NamedParam& np : params_) {
     m_.emplace_back(np.param->value.rows(), np.param->value.cols());
     v_.emplace_back(np.param->value.rows(), np.param->value.cols());
+    spans_.push_back({Span{0, np.param->value.size()}});
   }
 }
 
-void AdamOptimizer::Step() {
+void AdamOptimizer::SetLiveRows(size_t index, const std::vector<int>& rows) {
+  FS_CHECK_LT(index, params_.size());
+  const Matrix& value = params_[index].param->value;
+  const size_t cols = static_cast<size_t>(value.cols());
+  std::vector<Span> spans;
+  int previous = -1;
+  for (int row : rows) {
+    FS_CHECK_GT(row, previous) << "live rows must be ascending and distinct";
+    FS_CHECK_LT(row, value.rows());
+    // Adjacent rows merge into one run, so the kernel sees long spans.
+    if (!spans.empty() && row == previous + 1) {
+      spans.back().size += cols;
+    } else {
+      spans.push_back(Span{static_cast<size_t>(row) * cols, cols});
+    }
+    previous = row;
+  }
+  spans_[index] = std::move(spans);
+}
+
+double AdamOptimizer::Step() {
   ++step_;
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;
   const float bias1 = 1.0f - std::pow(b1, static_cast<float>(step_));
   const float bias2 = 1.0f - std::pow(b2, static_cast<float>(step_));
-  if (options_.grad_clip_norm > 0) {
-    ClipGlobalGradNorm(params_, options_.grad_clip_norm);
-  }
+
+  // Global norm in GlobalGradNorm's order: skipped elements are exact
+  // zeros, and adding +0.0 never changes the sum.
+  double sum_sq = 0;
   for (size_t p = 0; p < params_.size(); ++p) {
-    Var& param = params_[p].param;
-    param->EnsureGrad();
-    Matrix& grad = param->grad;
-    float* w = param->value.data();
-    float* g = grad.data();
-    float* m = m_[p].data();
-    float* v = v_[p].data();
-    for (size_t i = 0; i < param->value.size(); ++i) {
-      m[i] = b1 * m[i] + (1.0f - b1) * g[i];
-      v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
-      float mhat = m[i] / bias1;
-      float vhat = v[i] / bias2;
-      w[i] -= options_.learning_rate * mhat /
-              (std::sqrt(vhat) + options_.epsilon);
-      g[i] = 0.0f;
+    params_[p].param->EnsureGrad();
+    const float* g = params_[p].param->grad.data();
+    for (const Span& span : spans_[p]) {
+      for (size_t i = span.begin; i < span.begin + span.size; ++i) {
+        sum_sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
+      }
     }
   }
+  const double norm = std::sqrt(sum_sq);
+  const double max_norm = options_.grad_clip_norm;
+  if (max_norm > 0 && norm > max_norm) {
+    const float scale = static_cast<float>(max_norm / norm);
+    for (size_t p = 0; p < params_.size(); ++p) {
+      float* g = params_[p].param->grad.data();
+      for (const Span& span : spans_[p]) {
+        for (size_t i = span.begin; i < span.begin + span.size; ++i) {
+          g[i] *= scale;
+        }
+      }
+    }
+  }
+
+  const nn::Kernels& kernels = nn::ActiveKernels();
+  for (size_t p = 0; p < params_.size(); ++p) {
+    Var& param = params_[p].param;
+    float* w = param->value.data();
+    float* g = param->grad.data();
+    float* m = m_[p].data();
+    float* v = v_[p].data();
+    for (const Span& span : spans_[p]) {
+      kernels.adam_update(w + span.begin, g + span.begin, m + span.begin,
+                          v + span.begin, static_cast<int>(span.size), b1, b2,
+                          bias1, bias2, options_.learning_rate,
+                          options_.epsilon);
+    }
+  }
+  return norm;
 }
 
 void AdamOptimizer::ZeroGrad() {

@@ -26,19 +26,40 @@ class AdamOptimizer {
   AdamOptimizer(std::vector<NamedParam> params, const Options& options);
 
   /// Applies one update from the accumulated gradients, then zeroes them.
-  void Step();
+  /// Returns the global gradient L2 norm before clipping (what
+  /// GlobalGradNorm would have reported just before the call).
+  double Step();
+
+  /// Restricts norm, clip and update of `params()[index]`, a [rows, cols]
+  /// table, to `rows` (ascending, distinct). Sound only when every other
+  /// row's gradient is exactly zero at every step — e.g. embedding rows no
+  /// training document looks up. Such a row's moments stay 0, its update
+  /// is w -= 0 and it adds +0.0 to the norm, so skipping it changes no bit.
+  void SetLiveRows(size_t index, const std::vector<int>& rows);
 
   /// Zeroes all parameter gradients without updating.
   void ZeroGrad();
 
   int64_t steps_taken() const { return step_; }
   const std::vector<NamedParam>& params() const { return params_; }
+  /// Adam's first and second moment estimates, one per parameter.
+  const std::vector<Matrix>& first_moments() const { return m_; }
+  const std::vector<Matrix>& second_moments() const { return v_; }
 
  private:
+  /// A run of contiguous elements of one parameter that Step visits.
+  struct Span {
+    size_t begin = 0;
+    size_t size = 0;
+  };
+
   std::vector<NamedParam> params_;
   Options options_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
+  /// Per parameter, the element runs Step visits in ascending order: the
+  /// whole tensor unless SetLiveRows narrowed it.
+  std::vector<std::vector<Span>> spans_;
   int64_t step_ = 0;
 };
 

@@ -1,15 +1,18 @@
 #include "par/lock_validator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/logging.h"
 
 namespace fieldswap {
 namespace par {
@@ -21,7 +24,23 @@ struct HeldLock {
   const char* name;
 };
 
-thread_local std::vector<HeldLock> t_held;
+/// The calling thread's held-lock stack. Fixed capacity, so it is
+/// trivially destructible: thread_local objects with destructors die
+/// before static destructors run, and a pool torn down at process exit
+/// still takes OrderedMutexes on the main thread.
+struct HeldStack {
+  static constexpr int kCapacity = 32;
+  HeldLock locks[kCapacity];
+  int size;
+
+  const HeldLock* begin() const { return locks; }
+  const HeldLock* end() const { return locks + size; }
+};
+static_assert(std::is_trivially_destructible_v<HeldStack>,
+              "the held-lock stack must survive thread_local destruction");
+
+// Zero-initialized like any thread-storage object: empty on every thread.
+thread_local HeldStack t_held;
 
 /// A directed acquisition-order edge with the chain that first produced
 /// it, e.g. "MultiTenantServer::mu_ -> ModelRegistry::mu_ (thread held
@@ -72,9 +91,9 @@ bool FindPathLocked(const std::string& from, const std::string& to,
 std::string HeldChainString(const char* acquiring) {
   std::ostringstream out;
   out << "held ";
-  for (size_t i = 0; i < t_held.size(); ++i) {
+  for (int i = 0; i < t_held.size; ++i) {
     if (i > 0) out << " -> ";
-    out << "'" << t_held[i].name << "'";
+    out << "'" << t_held.locks[i].name << "'";
   }
   out << ", acquiring '" << acquiring << "'";
   return out.str();
@@ -151,14 +170,19 @@ void LockValidator::OnAcquire(const void* mutex, const char* name) {
     g_failure_handler.load()(failure);
     return;  // a test handler may not abort; do not record the bad edge
   }
-  t_held.push_back(HeldLock{mutex, name});
+  FS_CHECK_LT(t_held.size, HeldStack::kCapacity)
+      << "lock validator: more than " << HeldStack::kCapacity
+      << " locks held at once by one thread";
+  t_held.locks[t_held.size++] = HeldLock{mutex, name};
 }
 
 void LockValidator::OnRelease(const void* mutex) {
   if (!Enabled()) return;
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (it->mutex == mutex) {
-      t_held.erase(std::next(it).base());
+  for (int i = t_held.size - 1; i >= 0; --i) {
+    if (t_held.locks[i].mutex == mutex) {
+      std::copy(t_held.locks + i + 1, t_held.locks + t_held.size,
+                t_held.locks + i);
+      --t_held.size;
       return;
     }
   }

@@ -18,15 +18,25 @@ namespace {
 // The ExtractionServer facade's one tenant in its private registry.
 constexpr char kDefaultTenant[] = "";
 
-void AppendU64(std::string& buffer, uint64_t value) {
-  char bytes[sizeof(value)];
-  std::memcpy(bytes, &value, sizeof(value));
-  buffer.append(bytes, sizeof(value));
-}
+/// Running FNV-1a over the fields of a document, in the byte layout of
+/// "text \x1f" strings and native-endian 8-byte numbers.
+class ContentHasher {
+ public:
+  void Text(std::string_view text) {
+    h_ = Fnv1a64Update(h_, text);
+    h_ = Fnv1a64Update(h_, std::string_view("\x1f", 1));
+  }
+  void U64(uint64_t value) {
+    char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    h_ = Fnv1a64Update(h_, std::string_view(bytes, sizeof(value)));
+  }
+  void Double(double value) { U64(std::bit_cast<uint64_t>(value)); }
+  uint64_t hash() const { return h_; }
 
-void AppendDouble(std::string& buffer, double value) {
-  AppendU64(buffer, std::bit_cast<uint64_t>(value));
-}
+ private:
+  uint64_t h_ = kFnv1a64Seed;
+};
 
 }  // namespace
 
@@ -80,28 +90,24 @@ std::string ServeOptions::Validate() const {
 }
 
 uint64_t DocContentHash(const Document& doc) {
-  std::string buffer;
-  buffer.reserve(64 + static_cast<size_t>(doc.num_tokens()) * 48);
-  buffer += doc.domain();
-  buffer += '\x1f';
-  AppendDouble(buffer, doc.width());
-  AppendDouble(buffer, doc.height());
+  ContentHasher hasher;
+  hasher.Text(doc.domain());
+  hasher.Double(doc.width());
+  hasher.Double(doc.height());
   for (const Token& token : doc.tokens()) {
-    buffer += token.text;
-    buffer += '\x1f';
-    AppendDouble(buffer, token.box.x_min);
-    AppendDouble(buffer, token.box.y_min);
-    AppendDouble(buffer, token.box.x_max);
-    AppendDouble(buffer, token.box.y_max);
-    AppendU64(buffer, static_cast<uint64_t>(token.line));
+    hasher.Text(token.text);
+    hasher.Double(token.box.x_min);
+    hasher.Double(token.box.y_min);
+    hasher.Double(token.box.x_max);
+    hasher.Double(token.box.y_max);
+    hasher.U64(static_cast<uint64_t>(token.line));
   }
   for (const EntitySpan& span : doc.annotations()) {
-    buffer += span.field;
-    buffer += '\x1f';
-    AppendU64(buffer, static_cast<uint64_t>(span.first_token));
-    AppendU64(buffer, static_cast<uint64_t>(span.num_tokens));
+    hasher.Text(span.field);
+    hasher.U64(static_cast<uint64_t>(span.first_token));
+    hasher.U64(static_cast<uint64_t>(span.num_tokens));
   }
-  return Fnv1a64(buffer);
+  return hasher.hash();
 }
 
 ExtractionServer::ExtractionServer(

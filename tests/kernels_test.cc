@@ -368,6 +368,57 @@ TEST(Int8Kernels, GemmI8ExactOnEveryBackend) {
   }
 }
 
+// adam_update is held to more than the ulp bounds above: every backend must
+// be bit-identical to the scalar loop (same roundings, no FMA), so the
+// trained weights do not depend on the backend through the optimizer.
+TEST(AdamKernel, BitIdenticalOnEveryBackend) {
+  BackendGuard guard;
+  for (int n : {1, 7, 8, 9, 32, 131}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(static_cast<uint64_t>(500 + n));
+    std::vector<float> w0(static_cast<size_t>(n)), g0(w0.size()),
+        m0(w0.size()), v0(w0.size());
+    for (size_t i = 0; i < w0.size(); ++i) {
+      w0[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      // Every third gradient is exactly zero, as in an untouched row.
+      g0[i] = i % 3 == 0 ? 0.0f : static_cast<float>(rng.Uniform(-2.0, 2.0));
+      m0[i] = i % 5 == 0 ? 0.0f : static_cast<float>(rng.Uniform(-0.1, 0.1));
+      v0[i] = i % 5 == 0 ? 0.0f : static_cast<float>(rng.Uniform(0.0, 0.01));
+    }
+    std::vector<std::vector<float>> reference;
+    for (const std::string& backend : nn::AvailableKernelBackends()) {
+      SCOPED_TRACE(backend);
+      ASSERT_TRUE(nn::SetKernelBackend(backend));
+      std::vector<float> w = w0, g = g0, m = m0, v = v0;
+      for (int step = 1; step <= 3; ++step) {
+        const float bias1 = 1.0f - std::pow(0.9f, static_cast<float>(step));
+        const float bias2 = 1.0f - std::pow(0.999f, static_cast<float>(step));
+        if (step > 1) g = g0;
+        nn::ActiveKernels().adam_update(w.data(), g.data(), m.data(),
+                                        v.data(), n, 0.9f, 0.999f, bias1,
+                                        bias2, 1e-3f, 1e-8f);
+      }
+      for (float x : g) EXPECT_EQ(x, 0.0f);
+      std::vector<std::vector<float>> state = {w, m, v};
+      if (reference.empty()) {
+        reference = state;
+        continue;
+      }
+      for (size_t k = 0; k < state.size(); ++k) {
+        EXPECT_EQ(std::memcmp(state[k].data(), reference[k].data(),
+                              state[k].size() * sizeof(float)),
+                  0)
+            << "state " << k << " differs from "
+            << nn::AvailableKernelBackends().front();
+      }
+    }
+    // An element with zero gradient and zero moments is left exactly alone.
+    ASSERT_EQ(g0[0], 0.0f);
+    ASSERT_EQ(m0[0], 0.0f);
+    EXPECT_EQ(std::memcmp(&reference[0][0], &w0[0], sizeof(float)), 0);
+  }
+}
+
 TEST(Int8Snapshot, TrainedF1WithinHalfAPercentOfFloat) {
   BackendGuard guard;
   // Fixed-seed small train run (the golden suite's protocol, scaled to a

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "nn/autodiff.h"
@@ -215,6 +218,93 @@ TEST(AdamTest, GradClipBoundsUpdate) {
   // Adam's first step moves by ~lr regardless, but the clipped gradient
   // must not explode the moments.
   EXPECT_LT(std::fabs(x->value.At(0, 0)), 2.0f);
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Live-row Adam is dense Adam with the provably-zero rows skipped: on a
+// pool that never looks up some embedding rows, both must leave every
+// parameter and both moments bit-identical, also across clipped steps.
+TEST(AdamTest, LiveRowsMatchDenseBitForBit) {
+  const std::vector<std::vector<int>> pool = {
+      {1, 3, 4}, {9, 4, 4, 10}, {3}, {10, 11, 1, 9}};
+  const std::vector<int> live = {1, 3, 4, 9, 10, 11};
+  const std::vector<float> loss_scale = {1, 40, 1, 60, 2, 1, 80, 1};
+
+  struct Run {
+    std::vector<NamedParam> params;
+    std::vector<double> norms;
+    std::unique_ptr<AdamOptimizer> optimizer;
+  };
+  auto train = [&](bool live_rows) {
+    Rng rng(17);
+    Embedding table(16, 8, rng, "emb");
+    Linear proj(8, 3, rng, "proj");
+    Run run;
+    table.CollectParams(run.params);
+    proj.CollectParams(run.params);
+    AdamOptimizer::Options options;
+    options.learning_rate = 0.01f;
+    options.grad_clip_norm = 0.5f;
+    run.optimizer = std::make_unique<AdamOptimizer>(run.params, options);
+    if (live_rows) run.optimizer->SetLiveRows(0, live);
+    for (size_t step = 0; step < loss_scale.size(); ++step) {
+      Var out = Tanh(proj.Apply(table.Lookup(pool[step % pool.size()])));
+      Backward(Scale(MeanAll(Mul(out, out)), loss_scale[step]));
+      run.norms.push_back(run.optimizer->Step());
+    }
+    return run;
+  };
+  const Matrix initial = [] {
+    Rng rng(17);
+    return Embedding(16, 8, rng, "emb").table_value();
+  }();
+
+  Run dense = train(false);
+  Run sparse = train(true);
+  EXPECT_EQ(dense.norms, sparse.norms);
+  int clipped = 0;
+  for (double norm : dense.norms) clipped += norm > 0.5 ? 1 : 0;
+  EXPECT_GT(clipped, 0) << "some step must clip";
+  EXPECT_LT(clipped, static_cast<int>(dense.norms.size()))
+      << "some step must not clip";
+  for (size_t p = 0; p < dense.params.size(); ++p) {
+    SCOPED_TRACE(dense.params[p].name);
+    EXPECT_TRUE(BitEqual(dense.params[p].param->value,
+                         sparse.params[p].param->value));
+    EXPECT_TRUE(BitEqual(dense.optimizer->first_moments()[p],
+                         sparse.optimizer->first_moments()[p]));
+    EXPECT_TRUE(BitEqual(dense.optimizer->second_moments()[p],
+                         sparse.optimizer->second_moments()[p]));
+  }
+  // The skipped rows really were untouched, and the live ones trained.
+  const Matrix& trained = dense.params[0].param->value;
+  for (int r = 0; r < 16; ++r) {
+    const bool is_live =
+        std::find(live.begin(), live.end(), r) != live.end();
+    EXPECT_EQ(std::memcmp(trained.Row(r), initial.Row(r), 8 * sizeof(float)) ==
+                  0,
+              !is_live)
+        << "row " << r;
+  }
+}
+
+TEST(AdamTest, StepReturnsPreClipGlobalNorm) {
+  Var a = Parameter(Matrix::FromValues(1, 2, {0, 0}));
+  Var b = Parameter(Matrix::FromValues(1, 1, {0}));
+  AdamOptimizer::Options options;
+  options.grad_clip_norm = 1.0f;
+  AdamOptimizer optimizer({{"a", a}, {"b", b}}, options);
+  a->EnsureGrad();
+  b->EnsureGrad();
+  a->grad.At(0, 0) = 3.0f;
+  b->grad.At(0, 0) = 4.0f;
+  const double expected = GlobalGradNorm(optimizer.params());
+  EXPECT_EQ(optimizer.Step(), expected);
+  EXPECT_DOUBLE_EQ(expected, 5.0);
 }
 
 // Clipping is on the *global* norm: a two-tensor gradient of norms 3 and 4

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +29,7 @@
 #include "serve/tenant_server.h"
 #include "synth/domains.h"
 #include "synth/generator.h"
+#include "util/hash.h"
 
 namespace fieldswap {
 namespace serve {
@@ -99,6 +102,71 @@ TEST(DocContentHashTest, IgnoresIdButSeesContent) {
   relabeled.mutable_annotations()[0].field += "x";
   EXPECT_NE(DocContentHash(docs[0]), DocContentHash(relabeled))
       << "annotations feed EncodedDoc.labels, so they are content";
+}
+
+/// DocContentHash as it was first written: every hashed field appended to
+/// one buffer, then Fnv1a64 over the buffer. The streaming version must
+/// give the same value.
+uint64_t BufferedDocContentHash(const Document& doc) {
+  auto append_u64 = [](std::string& buffer, uint64_t value) {
+    char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    buffer.append(bytes, sizeof(value));
+  };
+  auto append_double = [&](std::string& buffer, double value) {
+    append_u64(buffer, std::bit_cast<uint64_t>(value));
+  };
+  std::string buffer;
+  buffer += doc.domain();
+  buffer += '\x1f';
+  append_double(buffer, doc.width());
+  append_double(buffer, doc.height());
+  for (const Token& token : doc.tokens()) {
+    buffer += token.text;
+    buffer += '\x1f';
+    append_double(buffer, token.box.x_min);
+    append_double(buffer, token.box.y_min);
+    append_double(buffer, token.box.x_max);
+    append_double(buffer, token.box.y_max);
+    append_u64(buffer, static_cast<uint64_t>(token.line));
+  }
+  for (const EntitySpan& span : doc.annotations()) {
+    buffer += span.field;
+    buffer += '\x1f';
+    append_u64(buffer, static_cast<uint64_t>(span.first_token));
+    append_u64(buffer, static_cast<uint64_t>(span.num_tokens));
+  }
+  return Fnv1a64(buffer);
+}
+
+TEST(DocContentHashTest, StreamingHashEqualsBufferedHash) {
+  for (const char* name : {"fara", "fcc_forms", "brokerage_statements",
+                           "earnings", "loan_payments", "invoices"}) {
+    for (const Document& doc : GenerateCorpus(SpecByName(name), 12, 77, "h")) {
+      EXPECT_EQ(DocContentHash(doc), BufferedDocContentHash(doc))
+          << name << " " << doc.id();
+    }
+  }
+
+  Document blank = TestCorpus(1)[0];
+  for (Token& token : blank.mutable_tokens()) token.text.clear();
+  blank.mutable_annotations().clear();
+  EXPECT_EQ(DocContentHash(blank), BufferedDocContentHash(blank));
+
+  Document labeled = TestCorpus(1)[0];
+  labeled.AddAnnotation(EntitySpan{"extra.field", 0, 2});
+  ASSERT_GT(labeled.annotations().size(), 1u);
+  EXPECT_EQ(DocContentHash(labeled), BufferedDocContentHash(labeled));
+}
+
+TEST(Fnv1a64Test, UpdateStreamsOverPieces) {
+  const std::string whole = "Base Salary\x1f$100.00";
+  uint64_t h = kFnv1a64Seed;
+  h = Fnv1a64Update(h, "Base ");
+  h = Fnv1a64Update(h, "");
+  h = Fnv1a64Update(h, "Salary\x1f$100.00");
+  EXPECT_EQ(h, Fnv1a64(whole));
+  EXPECT_EQ(Fnv1a64(""), kFnv1a64Seed);
 }
 
 // ---- Options / status -----------------------------------------------------
