@@ -5,11 +5,16 @@
 // per-function static walker cannot see through the call, which is
 // exactly the class of deadlock only the runtime validator catches.
 //
-// TSan-clean by construction: threads are created and joined one at a
-// time, so the two conflicting acquisition orders never actually contend.
+// Threads are created and joined one at a time, so the two conflicting
+// acquisition orders never actually contend. A thread sanitizer still
+// reports each deliberate inversion as a potential deadlock — correctly —
+// so those tests run their inversion in a child process (RunInChild) and
+// the report stays there, out of the test binary's own exit status.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -38,6 +43,27 @@ void AcquireInOrder(util::OrderedMutex& first, util::OrderedMutex& second) {
   second.lock();
   second.unlock();
   first.unlock();
+}
+
+/// Says why a check in a RunInChild child failed; returns false.
+bool Report(const std::string& why) {
+  std::fprintf(stderr, "%s\n", why.c_str());
+  return false;
+}
+
+/// True when `message` contains `needle`; reports what is missing
+/// otherwise.
+bool Mentions(const std::string& message, const char* needle) {
+  if (message.find(needle) != std::string::npos) return true;
+  return Report("missing \"" + std::string(needle) + "\" in: " + message);
+}
+
+/// Runs `check` in a fresh child process (gtest's threadsafe death-test
+/// style re-executes the binary into this test) and expects it to return
+/// true. Only the child's exit code comes back.
+void RunInChild(bool (*check)()) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::_Exit(check() ? 0 : 1), ::testing::ExitedWithCode(0), "");
 }
 
 class LockValidatorTest : public ::testing::Test {
@@ -69,7 +95,7 @@ TEST_F(LockValidatorTest, ConsistentOrderIsClean) {
   EXPECT_TRUE(CapturedFailure()->empty()) << *CapturedFailure();
 }
 
-TEST_F(LockValidatorTest, InversionAcrossThreadsNamesBothChains) {
+bool InversionAcrossThreadsNamesBothChains() {
   util::OrderedMutex outer{"lockval_test::outer"};
   util::OrderedMutex inner{"lockval_test::inner"};
   // First thread establishes outer -> inner; joined before the second
@@ -78,51 +104,55 @@ TEST_F(LockValidatorTest, InversionAcrossThreadsNamesBothChains) {
   //   thread, so the conflicting orders must come from distinct threads
   std::thread forward(AcquireInOrder, std::ref(outer), std::ref(inner));
   forward.join();
-  EXPECT_TRUE(CapturedFailure()->empty()) << *CapturedFailure();
+  if (!CapturedFailure()->empty()) {
+    return Report("unexpected failure: " + *CapturedFailure());
+  }
 
   // fslint: allow(no-raw-thread): second thread takes the opposite order
   std::thread inverted(AcquireInOrder, std::ref(inner), std::ref(outer));
   inverted.join();
 
   const std::string& message = *CapturedFailure();
-  ASSERT_FALSE(message.empty());
-  EXPECT_NE(message.find("lock-order violation"), std::string::npos)
-      << message;
-  // The chain executing now...
-  EXPECT_NE(message.find("held 'lockval_test::inner', acquiring "
-                         "'lockval_test::outer'"),
-            std::string::npos)
-      << message;
-  // ...and the conflicting chain recorded earlier, plus the pointer to
-  // the canonical order.
-  EXPECT_NE(message.find("held 'lockval_test::outer', acquiring "
-                         "'lockval_test::inner'"),
-            std::string::npos)
-      << message;
-  EXPECT_NE(message.find("tools/lock_order.txt"), std::string::npos)
-      << message;
+  return Mentions(message, "lock-order violation") &&
+         // The chain executing now...
+         Mentions(message,
+                  "held 'lockval_test::inner', acquiring "
+                  "'lockval_test::outer'") &&
+         // ...and the conflicting chain recorded earlier, plus the pointer
+         // to the canonical order.
+         Mentions(message,
+                  "held 'lockval_test::outer', acquiring "
+                  "'lockval_test::inner'") &&
+         Mentions(message, "tools/lock_order.txt");
 }
 
-TEST_F(LockValidatorTest, TransitiveInversionReportsTheWholePath) {
+TEST_F(LockValidatorTest, InversionAcrossThreadsNamesBothChains) {
+  RunInChild(&InversionAcrossThreadsNamesBothChains);
+}
+
+bool TransitiveInversionReportsTheWholePath() {
   util::OrderedMutex a{"lockval_test::path_a"};
   util::OrderedMutex b{"lockval_test::path_b"};
   util::OrderedMutex c{"lockval_test::path_c"};
   AcquireInOrder(a, b);
   AcquireInOrder(b, c);
-  EXPECT_TRUE(CapturedFailure()->empty()) << *CapturedFailure();
+  if (!CapturedFailure()->empty()) {
+    return Report("unexpected failure: " + *CapturedFailure());
+  }
 
   // c -> a inverts a ->* c through b; both recorded hops are named.
   AcquireInOrder(c, a);
   const std::string& message = *CapturedFailure();
-  ASSERT_FALSE(message.empty());
-  EXPECT_NE(message.find("held 'lockval_test::path_a', acquiring "
-                         "'lockval_test::path_b'"),
-            std::string::npos)
-      << message;
-  EXPECT_NE(message.find("held 'lockval_test::path_b', acquiring "
-                         "'lockval_test::path_c'"),
-            std::string::npos)
-      << message;
+  return Mentions(message,
+                  "held 'lockval_test::path_a', acquiring "
+                  "'lockval_test::path_b'") &&
+         Mentions(message,
+                  "held 'lockval_test::path_b', acquiring "
+                  "'lockval_test::path_c'");
+}
+
+TEST_F(LockValidatorTest, TransitiveInversionReportsTheWholePath) {
+  RunInChild(&TransitiveInversionReportsTheWholePath);
 }
 
 TEST_F(LockValidatorTest, TryLockParticipatesInTheOrder) {
@@ -150,13 +180,18 @@ TEST_F(LockValidatorTest, RecursiveAcquisitionIsItsOwnViolation) {
   LockValidator::OnRelease(&marker);
 }
 
-TEST_F(LockValidatorTest, DisabledValidatorIsInert) {
+bool DisabledValidatorIsInert() {
   LockValidator::SetEnabledForTesting(false);
   util::OrderedMutex outer{"lockval_test::inert_outer"};
   util::OrderedMutex inner{"lockval_test::inert_inner"};
   AcquireInOrder(outer, inner);
   AcquireInOrder(inner, outer);  // inverted, but nobody is watching
-  EXPECT_TRUE(CapturedFailure()->empty()) << *CapturedFailure();
+  if (CapturedFailure()->empty()) return true;
+  return Report("unexpected failure: " + *CapturedFailure());
+}
+
+TEST_F(LockValidatorTest, DisabledValidatorIsInert) {
+  RunInChild(&DisabledValidatorIsInert);
 }
 
 TEST_F(LockValidatorTest, OrderedMutexExposesItsName) {
