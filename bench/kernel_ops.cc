@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -87,6 +88,8 @@ void MicroKernels(TablePrinter& table) {
       if (idx >= 0 && idx < m) neighbors[r].push_back(idx);
     }
   }
+  const std::shared_ptr<const NeighborLists> lists =
+      NeighborLists::FromRows(neighbors);
   Matrix q(m, k), key(m, k), v(m, k), attn(m, k);
   FillMatrix(q, 606);
   FillMatrix(key, 707);
@@ -99,7 +102,7 @@ void MicroKernels(TablePrinter& table) {
   const Micro micros[] = {
       {"gemm", [&] { MatMulInto(a, b, out); }},
       {"layer_norm", [&] { LayerNormInto(x, gain, bias, normed); }},
-      {"attention", [&] { NeighborAttentionInto(q, key, v, neighbors, attn); }},
+      {"attention", [&] { NeighborAttentionInto(q, key, v, *lists, attn); }},
   };
 
   const std::vector<std::string> backends = nn::AvailableKernelBackends();

@@ -140,8 +140,10 @@ void BM_NeighborAttentionForward(benchmark::State& state) {
       neighbors[static_cast<size_t>(i)].push_back(j);
     }
   }
+  const std::shared_ptr<const NeighborLists> lists =
+      NeighborLists::FromRows(neighbors);
   for (auto _ : state) {
-    Var out = NeighborAttention(q, k, v, neighbors);
+    Var out = NeighborAttention(q, k, v, lists);
     benchmark::DoNotOptimize(out->value.data());
   }
 }
@@ -157,11 +159,13 @@ void BM_NeighborAttentionBackward(benchmark::State& state) {
       neighbors[static_cast<size_t>(i)].push_back(j);
     }
   }
+  const std::shared_ptr<const NeighborLists> lists =
+      NeighborLists::FromRows(neighbors);
   for (auto _ : state) {
     Var q = Parameter(Matrix::Gaussian(t, d, 1.0f, rng));
     Var k = Parameter(Matrix::Gaussian(t, d, 1.0f, rng));
     Var v = Parameter(Matrix::Gaussian(t, d, 1.0f, rng));
-    Var loss = MeanAll(NeighborAttention(q, k, v, neighbors));
+    Var loss = MeanAll(NeighborAttention(q, k, v, lists));
     Backward(loss);
     benchmark::DoNotOptimize(q->grad.data());
   }

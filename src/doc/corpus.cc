@@ -138,6 +138,9 @@ bool DecodeDocumentBinary(std::string_view bytes, Document* doc,
       !cursor.ReadF64(&width) || !cursor.ReadF64(&height)) {
     return SetStatus(status, "truncated document header");
   }
+  if (std::string_view why = PageGeometryError(width, height); !why.empty()) {
+    return SetStatus(status, std::string(why));
+  }
   Document result(id, domain, width, height);
 
   uint32_t token_count = 0;
@@ -154,7 +157,12 @@ bool DecodeDocumentBinary(std::string_view bytes, Document* doc,
         !cursor.ReadI32(&line)) {
       return SetStatus(status, "truncated token " + std::to_string(i));
     }
-    result.AddToken(std::move(text), BBox{x0, y0, x1, y1});
+    const BBox box{x0, y0, x1, y1};
+    if (std::string_view why = BoxGeometryError(box); !why.empty()) {
+      return SetStatus(status,
+                       "token " + std::to_string(i) + ": " + std::string(why));
+    }
+    result.AddToken(std::move(text), box);
   }
 
   uint32_t line_count = 0;

@@ -1,6 +1,7 @@
 #include "doc/document.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.h"
@@ -64,22 +65,68 @@ bool Document::HasField(std::string_view field) const {
   return false;
 }
 
-std::vector<int> Document::NeighborIndices(
-    const BBox& center, int t, const std::vector<int>& exclude) const {
-  std::vector<std::pair<double, int>> scored;
-  scored.reserve(tokens_.size());
-  for (int i = 0; i < num_tokens(); ++i) {
-    if (std::find(exclude.begin(), exclude.end(), i) != exclude.end()) {
+int NearestOffAxis(double cx, double cy, std::span<const double> xs,
+                   std::span<const double> ys, std::span<const int> exclude,
+                   int k, double* distance_scratch, int* out) {
+  if (k <= 0) return 0;
+  const int n = static_cast<int>(xs.size());
+  double* dist = distance_scratch;
+  int kept = 0;
+  for (int j = 0; j < n; ++j) {
+    const double d = OffAxisDistance(cx, cy, xs[static_cast<size_t>(j)],
+                                     ys[static_cast<size_t>(j)]);
+    // Candidates arrive in increasing index order, so (d, j) ranks after
+    // every kept entry of equal distance: only a strictly smaller distance
+    // moves it up, and only one strictly below the worst kept enters a
+    // full list.
+    if (kept == k && !(d < dist[k - 1])) continue;
+    if (std::find(exclude.begin(), exclude.end(), j) != exclude.end()) {
       continue;
     }
-    scored.emplace_back(OffAxisDistance(center, token(i).box), i);
+    int pos = kept < k ? kept++ : k - 1;
+    for (; pos > 0 && d < dist[pos - 1]; --pos) {
+      dist[pos] = dist[pos - 1];
+      out[pos] = out[pos - 1];
+    }
+    dist[pos] = d;
+    out[pos] = j;
   }
-  size_t keep = std::min(scored.size(), static_cast<size_t>(std::max(t, 0)));
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(keep),
-                    scored.end());
-  std::vector<int> result;
-  result.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) result.push_back(scored[i].second);
+  return kept;
+}
+
+std::string_view PageGeometryError(double width, double height) {
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(std::isfinite(width) && width > 0)) {
+    return "page width must be finite and positive";
+  }
+  if (!(std::isfinite(height) && height > 0)) {
+    return "page height must be finite and positive";
+  }
+  return {};
+}
+
+std::string_view BoxGeometryError(const BBox& box) {
+  if (!(std::isfinite(box.x_min) && std::isfinite(box.y_min) &&
+        std::isfinite(box.x_max) && std::isfinite(box.y_max))) {
+    return "box coordinates must be finite";
+  }
+  return {};
+}
+
+std::vector<int> Document::NeighborIndices(
+    const BBox& center, int t, const std::vector<int>& exclude) const {
+  const size_t n = tokens_.size();
+  std::vector<double> xs(n), ys(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = tokens_[i].box.CenterX();
+    ys[i] = tokens_[i].box.CenterY();
+  }
+  const size_t k = std::min(n, static_cast<size_t>(std::max(t, 0)));
+  std::vector<double> distances(k);
+  std::vector<int> result(k);
+  result.resize(static_cast<size_t>(NearestOffAxis(
+      center.CenterX(), center.CenterY(), xs, ys, exclude,
+      static_cast<int>(k), distances.data(), result.data())));
   return result;
 }
 

@@ -2,6 +2,7 @@
 #define FIELDSWAP_DOC_DOCUMENT_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,30 @@ struct PhraseMatch {
   int num_tokens = 0;
   int line = -1;
 };
+
+/// Exact top-k under the (off-axis distance, index) order: writes to `out`
+/// the indices j of the min(k, n) points (xs[j], ys[j]) nearest to (cx, cy)
+/// by OffAxisDistance, nearest first, equal distances by lower index —
+/// exactly the first k entries of sorting every (distance, j) pair, with
+/// no sort and no allocation. Indices listed in `exclude` are skipped.
+/// `out` and `distance_scratch` need room for k entries. Returns the count
+/// written. Distances must not be NaN (document readers reject the
+/// non-finite geometry that would produce them).
+int NearestOffAxis(double cx, double cy, std::span<const double> xs,
+                   std::span<const double> ys, std::span<const int> exclude,
+                   int k, double* distance_scratch, int* out);
+
+/// Why a page of this size cannot come from a real page, or "" when it
+/// can: width and height must be finite and positive. Every document
+/// reader runs this check, so zero-size or infinite pages never reach the
+/// features (which divide by the page size).
+std::string_view PageGeometryError(double width, double height);
+
+/// Why a token box cannot lie on a page, or "" when it can: every
+/// coordinate must be finite (an infinite coordinate turns off-axis
+/// distances into NaN). Shared by every document reader, like
+/// PageGeometryError.
+std::string_view BoxGeometryError(const BBox& box);
 
 /// A visually rich document: page geometry, OCR tokens and lines, and
 /// field annotations. This is the unit FieldSwap operates on — synthetic
@@ -108,7 +133,8 @@ class Document {
 
   /// Indices of the `t` tokens nearest to `center` by off-axis distance
   /// between bounding-box centers (Sec. II-A2), excluding any token indices
-  /// listed in `exclude`. Results are sorted by increasing distance.
+  /// listed in `exclude`. Results are sorted by increasing distance, ties
+  /// by lower index (NearestOffAxis).
   std::vector<int> NeighborIndices(const BBox& center, int t,
                                    const std::vector<int>& exclude = {}) const;
 

@@ -211,6 +211,9 @@ std::optional<Document> DocumentFromJson(const std::string& json,
   if (!parser.Literal(",\"height\":") || !parser.Number(height)) {
     return fail("malformed \"height\" field");
   }
+  if (std::string_view why = PageGeometryError(width, height); !why.empty()) {
+    return fail(std::string(why));
+  }
 
   Document doc(id, domain, width, height);
 
@@ -229,7 +232,12 @@ std::optional<Document> DocumentFromJson(const std::string& json,
         !parser.Literal("}")) {
       return fail("malformed token " + std::to_string(doc.num_tokens()));
     }
-    doc.AddToken(text, BBox{x0, y0, x1, y1});
+    const BBox box{x0, y0, x1, y1};
+    if (std::string_view why = BoxGeometryError(box); !why.empty()) {
+      return fail("token " + std::to_string(doc.num_tokens()) + ": " +
+                  std::string(why));
+    }
+    doc.AddToken(text, box);
     parser.Literal(",");  // optional separator
   }
   if (!parser.Literal("]")) return fail("unterminated \"tokens\" array");

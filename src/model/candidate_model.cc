@@ -1,6 +1,7 @@
 #include "model/candidate_model.h"
 
 #include <algorithm>
+#include <array>
 
 #include "model/features.h"
 #include "nn/ops.h"
@@ -46,15 +47,15 @@ CandidateScoringModel::EncodeGraph CandidateScoringModel::BuildEncodeGraph(
     const Token& tok = doc.token(neighbors[static_cast<size_t>(i)]);
     text_ids.push_back(TextBucket(tok.text, config_.text_buckets));
     shape_ids.push_back(ShapeBucket(tok.text, config_.shape_buckets));
-    std::vector<float> feats =
+    const std::array<float, kNumRelativeFeatures> feats =
         RelativeFeatures(cand_box, tok.box, doc.width(), doc.height());
-    for (int f = 0; f < kNumRelativeFeatures; ++f) rel.At(i, f) = feats[static_cast<size_t>(f)];
+    std::copy(feats.begin(), feats.end(), rel.Row(i));
   }
 
   Var inputs = Add(Add(text_emb_.Lookup(text_ids), shape_emb_.Lookup(shape_ids)),
                    rel_pos_proj_.Apply(Constant(std::move(rel))));
   Var attn = NeighborAttention(wq_.Apply(inputs), wk_.Apply(inputs),
-                               wv_.Apply(inputs), FullAttentionNeighbors(t));
+                               wv_.Apply(inputs), NeighborLists::Full(t));
   // Per-neighbor encodings: ReLU of [input | attention context].
   Var encoded = Relu(enc_.Apply(ConcatCols(inputs, attn)));
 
@@ -81,10 +82,10 @@ Var CandidateScoringModel::ScoreForTraining(const Document& doc,
   EncodeGraph graph = BuildEncodeGraph(doc, candidate);
 
   BBox cand_box = doc.BoxOfRange(candidate.first_token, candidate.num_tokens);
-  std::vector<float> pos =
+  const std::array<float, kNumPositionFeatures> pos =
       PositionFeatures(cand_box, doc.width(), doc.height());
-  Var cand_pos = cand_pos_proj_.Apply(
-      Constant(Matrix::FromValues(1, kNumPositionFeatures, std::move(pos))));
+  Var cand_pos = cand_pos_proj_.Apply(Constant(Matrix::FromValues(
+      1, kNumPositionFeatures, std::vector<float>(pos.begin(), pos.end()))));
 
   Var features =
       Relu(combine_.Apply(ConcatCols(graph.neighborhood, cand_pos)));

@@ -22,8 +22,8 @@ std::vector<int> ViterbiDecodeBio(const Matrix& logits) {
 
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   Matrix score(t, c);
-  std::vector<std::vector<int>> backptr(
-      static_cast<size_t>(t), std::vector<int>(static_cast<size_t>(c), 0));
+  // backptr[i * c + cls]: the best predecessor of class cls at token i.
+  std::vector<int> backptr(static_cast<size_t>(t) * static_cast<size_t>(c), 0);
 
   for (int cls = 0; cls < c; ++cls) {
     // An initial I-f is illegal (nothing precedes it).
@@ -44,7 +44,8 @@ std::vector<int> ViterbiDecodeBio(const Matrix& logits) {
         }
       }
       score.At(i, cls) = best == kNegInf ? kNegInf : best + logits.At(i, cls);
-      backptr[static_cast<size_t>(i)][static_cast<size_t>(cls)] = best_prev;
+      backptr[static_cast<size_t>(i) * static_cast<size_t>(c) +
+              static_cast<size_t>(cls)] = best_prev;
     }
   }
 
@@ -56,7 +57,8 @@ std::vector<int> ViterbiDecodeBio(const Matrix& logits) {
   tags[static_cast<size_t>(t - 1)] = best_last;
   for (int i = t - 1; i > 0; --i) {
     tags[static_cast<size_t>(i - 1)] =
-        backptr[static_cast<size_t>(i)][static_cast<size_t>(tags[static_cast<size_t>(i)])];
+        backptr[static_cast<size_t>(i) * static_cast<size_t>(c) +
+                static_cast<size_t>(tags[static_cast<size_t>(i)])];
   }
   return tags;
 }

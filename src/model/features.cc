@@ -40,16 +40,19 @@ int ShapeBucket(std::string_view text, int num_buckets) {
       HashBucket(TokenShape(text), static_cast<uint32_t>(num_buckets)));
 }
 
-std::vector<float> PositionFeatures(const BBox& box, double page_width,
-                                    double page_height) {
+std::array<float, kNumPositionFeatures> PositionFeatures(const BBox& box,
+                                                         double page_width,
+                                                         double page_height) {
   return {static_cast<float>(box.CenterX() / page_width),
           static_cast<float>(box.CenterY() / page_height),
           static_cast<float>(box.Width() / page_width),
           static_cast<float>(box.Height() / page_height)};
 }
 
-std::vector<float> RelativeFeatures(const BBox& anchor, const BBox& neighbor,
-                                    double page_width, double page_height) {
+std::array<float, kNumRelativeFeatures> RelativeFeatures(const BBox& anchor,
+                                                         const BBox& neighbor,
+                                                         double page_width,
+                                                         double page_height) {
   double dx = (neighbor.CenterX() - anchor.CenterX()) / page_width;
   double dy = (neighbor.CenterY() - anchor.CenterY()) / page_height;
   double off_axis = std::fabs(dx) * std::fabs(dy);

@@ -1,9 +1,9 @@
 #ifndef FIELDSWAP_MODEL_FEATURES_H_
 #define FIELDSWAP_MODEL_FEATURES_H_
 
+#include <array>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "doc/document.h"
 
@@ -20,17 +20,21 @@ int TextBucket(std::string_view text, int num_buckets);
 /// Feature-hash bucket of the token's shape signature.
 int ShapeBucket(std::string_view text, int num_buckets);
 
+inline constexpr int kNumPositionFeatures = 4;
+inline constexpr int kNumRelativeFeatures = 6;
+
 /// Normalized absolute position features of a box on a page:
 /// {cx/W, cy/H, w/W, h/H}.
-std::vector<float> PositionFeatures(const BBox& box, double page_width,
-                                    double page_height);
-inline constexpr int kNumPositionFeatures = 4;
+std::array<float, kNumPositionFeatures> PositionFeatures(const BBox& box,
+                                                         double page_width,
+                                                         double page_height);
 
 /// Relative spatial features of `neighbor` w.r.t. `anchor`:
 /// {dx/W, dy/H, |dx|/W, |dy|/H, normalized off-axis distance, same-y-band}.
-std::vector<float> RelativeFeatures(const BBox& anchor, const BBox& neighbor,
-                                    double page_width, double page_height);
-inline constexpr int kNumRelativeFeatures = 6;
+std::array<float, kNumRelativeFeatures> RelativeFeatures(const BBox& anchor,
+                                                         const BBox& neighbor,
+                                                         double page_width,
+                                                         double page_height);
 
 }  // namespace fieldswap
 

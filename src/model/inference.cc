@@ -79,7 +79,7 @@ Matrix SequenceLabelingModel::InferLogits(const EncodedDoc& encoded) const {
     LinearInto(block.wq(), normed, q);
     LinearInto(block.wk(), normed, k);
     LinearInto(block.wv(), normed, v);
-    NeighborAttentionInto(q, k, v, encoded.neighbors, attn);
+    NeighborAttentionInto(q, k, v, *encoded.neighbors, attn);
     LinearInto(block.wo(), attn, proj);
     x.AddInPlace(proj);
     // x += ff2(relu(ff1(LN(x))))
@@ -143,7 +143,7 @@ Matrix SequenceLabelingModel::InferLogitsInt8(const Int8Plan& plan,
     Int8LinearInto(bp.wq, normed, q);
     Int8LinearInto(bp.wk, normed, k);
     Int8LinearInto(bp.wv, normed, v);
-    NeighborAttentionInto(q, k, v, encoded.neighbors, attn);
+    NeighborAttentionInto(q, k, v, *encoded.neighbors, attn);
     Int8LinearInto(bp.wo, attn, proj);
     x.AddInPlace(proj);
     LayerNormLayerInto(block.ln_ffn(), x, normed);

@@ -1,7 +1,10 @@
 #include "model/sequence_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
+#include <span>
 
 #include "model/decoder.h"
 #include "model/features.h"
@@ -39,39 +42,65 @@ SequenceLabelingModel::SequenceLabelingModel(const SequenceModelConfig& config,
 
 EncodedDoc SequenceLabelingModel::EncodeDoc(const Document& doc) const {
   EncodedDoc encoded;
-  const int t = std::min(doc.num_tokens(), config_.max_tokens);
+  const int n = doc.num_tokens();
+  const int t = std::min(n, config_.max_tokens);
   encoded.num_tokens = t;
   encoded.positions = Matrix(t, kNumPositionFeatures);
-  encoded.neighbors.resize(static_cast<size_t>(t));
+  encoded.text_ids.reserve(static_cast<size_t>(t));
+  encoded.shape_ids.reserve(static_cast<size_t>(t));
 
   for (int i = 0; i < t; ++i) {
     const Token& tok = doc.token(i);
     encoded.text_ids.push_back(TextBucket(tok.text, config_.text_buckets));
     encoded.shape_ids.push_back(ShapeBucket(tok.text, config_.shape_buckets));
-    std::vector<float> pos =
+    const std::array<float, kNumPositionFeatures> pos =
         PositionFeatures(tok.box, doc.width(), doc.height());
-    for (int f = 0; f < kNumPositionFeatures; ++f) {
-      encoded.positions.At(i, f) = pos[static_cast<size_t>(f)];
-    }
+    std::copy(pos.begin(), pos.end(), encoded.positions.Row(i));
   }
 
   // Attention pattern: self + reading-order window + off-axis-nearest
   // spatial neighbors (captures both the row label to the left and the
-  // column header above, which jointly disambiguate table cells).
-  for (int i = 0; i < t; ++i) {
-    std::vector<int>& ns = encoded.neighbors[static_cast<size_t>(i)];
-    for (int w = -config_.sequence_window; w <= config_.sequence_window; ++w) {
-      int j = i + w;
-      if (j >= 0 && j < t) ns.push_back(j);
-    }
-    std::vector<int> spatial =
-        doc.NeighborIndices(doc.token(i).box, config_.spatial_neighbors + 1);
-    for (int j : spatial) {
-      if (j < t && std::find(ns.begin(), ns.end(), j) == ns.end()) {
-        ns.push_back(j);
-      }
-    }
+  // column header above, which jointly disambiguate table cells). One
+  // scratch buffer holds every token's center (computed once) and the
+  // top-k state; see the EncodeDoc contract in the header.
+  const int window = config_.sequence_window;
+  const int k = std::min(n, std::max(config_.spatial_neighbors + 1, 0));
+  std::vector<double> scratch(2 * static_cast<size_t>(n) +
+                              static_cast<size_t>(k));
+  const std::span<double> xs(scratch.data(), static_cast<size_t>(n));
+  const std::span<double> ys(scratch.data() + n, static_cast<size_t>(n));
+  double* distances = scratch.data() + 2 * static_cast<size_t>(n);
+  for (int j = 0; j < n; ++j) {
+    xs[static_cast<size_t>(j)] = doc.token(j).box.CenterX();
+    ys[static_cast<size_t>(j)] = doc.token(j).box.CenterY();
   }
+  auto lists = std::make_shared<NeighborLists>();
+  lists->offsets.reserve(static_cast<size_t>(t) + 1);
+  lists->indices.reserve(static_cast<size_t>(t) *
+                         static_cast<size_t>(std::max(2 * window + 1, 0) + k));
+  lists->offsets.push_back(0);
+  // The spatial picks go straight into `indices` past the window, then are
+  // compacted in place (the write cursor never passes the read cursor).
+  for (int i = 0; i < t; ++i) {
+    for (int j = std::max(i - window, 0); j <= i + window && j < t; ++j) {
+      lists->indices.push_back(j);
+    }
+    const size_t spatial_begin = lists->indices.size();
+    lists->indices.resize(spatial_begin + static_cast<size_t>(k));
+    int* picked = lists->indices.data() + spatial_begin;
+    const int found = NearestOffAxis(
+        xs[static_cast<size_t>(i)], ys[static_cast<size_t>(i)], xs, ys, {}, k,
+        distances, picked);
+    int kept = 0;
+    for (int p = 0; p < found; ++p) {
+      const int j = picked[p];
+      const bool in_window = j >= i - window && j <= i + window;
+      if (j < t && !in_window) picked[kept++] = j;
+    }
+    lists->indices.resize(spatial_begin + static_cast<size_t>(kept));
+    lists->offsets.push_back(static_cast<int>(lists->indices.size()));
+  }
+  encoded.neighbors = std::move(lists);
 
   // BIO labels from annotations (truncated spans are labeled up to t).
   encoded.labels.assign(static_cast<size_t>(t), 0);
@@ -127,58 +156,63 @@ std::vector<EntitySpan> SequenceLabelingModel::PredictEncodedInt8(
 
 std::vector<EntitySpan> SequenceLabelingModel::DecodeLogits(
     const Matrix& logits) const {
-  Matrix probs = RowSoftmax(logits);
   const int t = logits.rows();
+  const int c = logits.cols();
 
-  std::vector<int> tags;
-  if (config_.use_viterbi_decoding) {
-    tags = ViterbiDecodeBio(logits);
-  } else {
-    // Greedy per-token argmax (the paper's simple readout).
-    tags.assign(static_cast<size_t>(t), 0);
-    for (int i = 0; i < t; ++i) {
-      int best = 0;
-      for (int cls = 1; cls < probs.cols(); ++cls) {
-        if (probs.At(i, cls) > probs.At(i, best)) best = cls;
+  // Tags from greedy per-token argmax over each softmax row (the paper's
+  // simple readout) or from Viterbi over the logits; either way keep the
+  // softmax probability of each token's tag, which is all span confidence
+  // needs.
+  std::vector<int> tags = config_.use_viterbi_decoding
+                              ? ViterbiDecodeBio(logits)
+                              : std::vector<int>(static_cast<size_t>(t), 0);
+  std::vector<float> tag_probs(static_cast<size_t>(t));
+  std::vector<float> probs(static_cast<size_t>(c));
+  for (int i = 0; i < t; ++i) {
+    SoftmaxRowInto(logits.Row(i), c, probs.data());
+    int& tag = tags[static_cast<size_t>(i)];
+    if (!config_.use_viterbi_decoding) {
+      for (int cls = 1; cls < c; ++cls) {
+        if (probs[static_cast<size_t>(cls)] > probs[static_cast<size_t>(tag)]) {
+          tag = cls;
+        }
       }
-      tags[static_cast<size_t>(i)] = best;
     }
+    tag_probs[static_cast<size_t>(i)] = probs[static_cast<size_t>(tag)];
   }
 
   // Decode spans: a B opens a span; following I of the same field extends.
-  struct Scored {
-    EntitySpan span;
+  // Schema constraint at inference: one span per field, the most confident
+  // (the first of equals, in token order).
+  struct Best {
+    int first = -1;
+    int count = 0;
     double confidence = 0;
   };
-  std::vector<Scored> spans;
+  std::vector<Best> best(schema_.num_fields());
   for (int i = 0; i < t; ++i) {
     int cls = tags[static_cast<size_t>(i)];
     int field = BioFieldOf(cls);
     if (field < 0 || !BioIsBegin(cls)) continue;
     int j = i + 1;
-    double conf = probs.At(i, cls);
+    double conf = tag_probs[static_cast<size_t>(i)];
     while (j < t && tags[static_cast<size_t>(j)] == BioInsideClass(field)) {
-      conf += probs.At(j, tags[static_cast<size_t>(j)]);
+      conf += tag_probs[static_cast<size_t>(j)];
       ++j;
     }
-    Scored scored;
-    scored.span = EntitySpan{schema_.fields()[static_cast<size_t>(field)].name,
-                             i, j - i};
-    scored.confidence = conf / static_cast<double>(j - i);
-    spans.push_back(std::move(scored));
+    const double confidence = conf / static_cast<double>(j - i);
+    Best& b = best[static_cast<size_t>(field)];
+    if (b.first < 0 || confidence > b.confidence) b = Best{i, j - i, confidence};
     i = j - 1;
   }
 
-  // Schema constraint at inference: one span per field, keep the most
-  // confident.
   std::vector<EntitySpan> result;
-  for (const FieldSpec& field : schema_.fields()) {
-    const Scored* best = nullptr;
-    for (const Scored& s : spans) {
-      if (s.span.field != field.name) continue;
-      if (best == nullptr || s.confidence > best->confidence) best = &s;
-    }
-    if (best != nullptr) result.push_back(best->span);
+  result.reserve(static_cast<size_t>(std::count_if(
+      best.begin(), best.end(), [](const Best& b) { return b.first >= 0; })));
+  for (size_t f = 0; f < best.size(); ++f) {
+    if (best[f].first < 0) continue;
+    result.push_back(
+        EntitySpan{schema_.fields()[f].name, best[f].first, best[f].count});
   }
   return result;
 }

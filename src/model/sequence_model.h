@@ -1,12 +1,14 @@
 #ifndef FIELDSWAP_MODEL_SEQUENCE_MODEL_H_
 #define FIELDSWAP_MODEL_SEQUENCE_MODEL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "doc/document.h"
 #include "doc/schema.h"
 #include "nn/layers.h"
+#include "nn/neighbors.h"
 #include "nn/optimizer.h"
 #include "nn/quant.h"
 #include "util/rng.h"
@@ -43,7 +45,9 @@ struct EncodedDoc {
   std::vector<int> text_ids;
   std::vector<int> shape_ids;
   Matrix positions;  // [T, kNumPositionFeatures]
-  std::vector<std::vector<int>> neighbors;
+  /// T rows of attention neighbors, shared (never copied) by every
+  /// training graph built from this document.
+  std::shared_ptr<const NeighborLists> neighbors;
   std::vector<int> labels;  // BIO class ids (empty if unannotated)
 };
 
@@ -86,7 +90,20 @@ class SequenceLabelingModel {
   SequenceLabelingModel(const SequenceModelConfig& config,
                         DomainSchema schema);
 
-  /// Precomputes features, neighbor lists, and labels for a document.
+  /// Precomputes features, neighbor lists, and labels for the first
+  /// T = min(N, max_tokens) of a document's N tokens.
+  ///
+  /// Neighbor contract: row i lists, in order, the reading-order window
+  /// i - sequence_window .. i + sequence_window (clipped to [0, T)), then
+  /// the spatial_neighbors + 1 tokens nearest to token i by (off-axis
+  /// distance between box centers, index), ranked among all N tokens with
+  /// token i itself a candidate (NearestOffAxis), minus any already in the
+  /// window and any at index >= max_tokens. Dropping after ranking (rather
+  /// than ranking only the first T) keeps long documents bit-identical to
+  /// the reference encoding pinned in tests/encode_oracle_test.cc.
+  ///
+  /// Makes a fixed number of heap allocations per document, none per token
+  /// (tools/alloc_budgets.txt).
   EncodedDoc EncodeDoc(const Document& doc) const;
 
   /// Forward pass to per-token class logits ([T, C] graph node).
@@ -131,7 +148,9 @@ class SequenceLabelingModel {
 
  private:
   /// Shared decode tail of every Predict* flavor: softmax, greedy/Viterbi
-  /// tags, span assembly, one-span-per-field constraint.
+  /// tags, span assembly, one-span-per-field constraint. Softmax runs one
+  /// row at a time into a reusable buffer; the best span of each field is
+  /// tracked by field index.
   std::vector<EntitySpan> DecodeLogits(const Matrix& logits) const;
   SequenceModelConfig config_;
   DomainSchema schema_;

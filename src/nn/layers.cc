@@ -1,7 +1,5 @@
 #include "nn/layers.h"
 
-#include <numeric>
-
 namespace fieldswap {
 
 Linear::Linear(int in_dim, int out_dim, Rng& rng, std::string name)
@@ -52,7 +50,7 @@ TransformerBlock::TransformerBlock(int dim, Rng& rng, std::string name)
       ff2_(2 * dim, dim, rng, name_ + ".ff2") {}
 
 Var TransformerBlock::Apply(
-    const Var& x, const std::vector<std::vector<int>>& neighbors) const {
+    const Var& x, const std::shared_ptr<const NeighborLists>& neighbors) const {
   Var normed = ln_attn_.Apply(x);
   Var attn = NeighborAttention(wq_.Apply(normed), wk_.Apply(normed),
                                wv_.Apply(normed), neighbors);
@@ -70,12 +68,6 @@ void TransformerBlock::CollectParams(std::vector<NamedParam>& out) const {
   ln_ffn_.CollectParams(out);
   ff1_.CollectParams(out);
   ff2_.CollectParams(out);
-}
-
-std::vector<std::vector<int>> FullAttentionNeighbors(int t) {
-  std::vector<int> all(static_cast<size_t>(t));
-  std::iota(all.begin(), all.end(), 0);
-  return std::vector<std::vector<int>>(static_cast<size_t>(t), all);
 }
 
 }  // namespace fieldswap

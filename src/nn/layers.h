@@ -1,10 +1,12 @@
 #ifndef FIELDSWAP_NN_LAYERS_H_
 #define FIELDSWAP_NN_LAYERS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "nn/autodiff.h"
+#include "nn/neighbors.h"
 #include "nn/ops.h"
 #include "util/rng.h"
 
@@ -83,8 +85,10 @@ class TransformerBlock {
   TransformerBlock() = default;
   TransformerBlock(int dim, Rng& rng, std::string name);
 
-  /// neighbors[i] lists the rows token i may attend to (include i itself).
-  Var Apply(const Var& x, const std::vector<std::vector<int>>& neighbors) const;
+  /// neighbors->Row(i) lists the rows token i may attend to (include i
+  /// itself).
+  Var Apply(const Var& x,
+            const std::shared_ptr<const NeighborLists>& neighbors) const;
 
   /// Sub-layer access for graph-free inference (model/inference.cc walks
   /// the same structure Apply() builds on the tape).
@@ -106,9 +110,6 @@ class TransformerBlock {
   LayerNormLayer ln_ffn_;
   Linear ff1_, ff2_;
 };
-
-/// Builds a full self-attention neighbor list: every row attends to all rows.
-std::vector<std::vector<int>> FullAttentionNeighbors(int t);
 
 }  // namespace fieldswap
 

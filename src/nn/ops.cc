@@ -1,6 +1,8 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "nn/kernels/backend.h"
 #include "util/logging.h"
@@ -88,36 +90,36 @@ Var LayerNorm(const Var& x, const Var& gain, const Var& bias, float epsilon) {
 }
 
 Var NeighborAttention(const Var& q, const Var& k, const Var& v,
-                      std::vector<std::vector<int>> neighbors) {
+                      std::shared_ptr<const NeighborLists> neighbors) {
   const int t = q->value.rows();
   const int d = q->value.cols();
   FS_CHECK_EQ(k->value.cols(), d);
   FS_CHECK_EQ(v->value.cols(), d);
   FS_CHECK_EQ(k->value.rows(), v->value.rows());
-  FS_CHECK_EQ(static_cast<int>(neighbors.size()), t);
+  FS_CHECK(neighbors != nullptr);
+  FS_CHECK_EQ(neighbors->rows(), t);
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
   Matrix out(t, d);
-  // Attention weights per query row, saved for backward.
-  auto weights = std::make_shared<std::vector<std::vector<float>>>(
-      static_cast<size_t>(t));
-  auto nbrs = std::make_shared<std::vector<std::vector<int>>>(
-      std::move(neighbors));
+  // Attention weights, saved for backward: row i's weights sit at the same
+  // offsets as its neighbor indices.
+  auto weights =
+      std::make_shared<std::vector<float>>(neighbors->indices.size());
 
   const nn::Kernels& kernels = nn::ActiveKernels();
   for (int i = 0; i < t; ++i) {
-    const auto& ns = (*nbrs)[static_cast<size_t>(i)];
+    std::span<const int> ns = neighbors->Row(i);
     FS_CHECK(!ns.empty()) << "empty neighbor list for row " << i;
-    std::vector<float>& a = (*weights)[static_cast<size_t>(i)];
-    a.resize(ns.size());
+    float* a = weights->data() + neighbors->offsets[static_cast<size_t>(i)];
     kernels.attention_row(q->value.Row(i), k->value.data(), v->value.data(),
                           ns.data(), static_cast<int>(ns.size()), d,
-                          inv_sqrt_d, a.data(), out.Row(i));
+                          inv_sqrt_d, a, out.Row(i));
   }
 
   return MakeFusedOp(
       std::move(out), {q, k, v},
-      [q, k, v, weights, nbrs, t, d, inv_sqrt_d](Node& self) {
+      [q, k, v, weights, nbrs = std::move(neighbors), t, d,
+       inv_sqrt_d](Node& self) {
         const bool gq = WantsGrad(q);
         const bool gk = WantsGrad(k);
         const bool gv = WantsGrad(v);
@@ -127,8 +129,9 @@ Var NeighborAttention(const Var& q, const Var& k, const Var& v,
         const nn::Kernels& kernels = nn::ActiveKernels();
         std::vector<float> da;
         for (int i = 0; i < t; ++i) {
-          const auto& ns = (*nbrs)[static_cast<size_t>(i)];
-          const auto& a = (*weights)[static_cast<size_t>(i)];
+          std::span<const int> ns = nbrs->Row(i);
+          const float* a =
+              weights->data() + nbrs->offsets[static_cast<size_t>(i)];
           const float* grow = self.grad.Row(i);
           da.assign(ns.size(), 0.0f);
           float dot_a_da = 0;
@@ -261,21 +264,20 @@ void LayerNormInto(const Matrix& x, const Matrix& gain, const Matrix& bias,
 }
 
 void NeighborAttentionInto(const Matrix& q, const Matrix& k, const Matrix& v,
-                           const std::vector<std::vector<int>>& neighbors,
-                           Matrix& out) {
+                           const NeighborLists& neighbors, Matrix& out) {
   const int t = q.rows();
   const int d = q.cols();
   FS_CHECK_EQ(k.cols(), d);
   FS_CHECK_EQ(v.cols(), d);
   FS_CHECK_EQ(k.rows(), v.rows());
-  FS_CHECK_EQ(static_cast<int>(neighbors.size()), t);
+  FS_CHECK_EQ(neighbors.rows(), t);
   FS_CHECK_EQ(out.rows(), t);
   FS_CHECK_EQ(out.cols(), d);
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
   const nn::Kernels& kernels = nn::ActiveKernels();
   std::vector<float> weights;
   for (int i = 0; i < t; ++i) {
-    const auto& ns = neighbors[static_cast<size_t>(i)];
+    std::span<const int> ns = neighbors.Row(i);
     FS_CHECK(!ns.empty()) << "empty neighbor list for row " << i;
     weights.resize(ns.size());
     kernels.attention_row(q.Row(i), k.data(), v.data(), ns.data(),
@@ -287,18 +289,20 @@ void NeighborAttentionInto(const Matrix& q, const Matrix& k, const Matrix& v,
 Matrix RowSoftmax(const Matrix& logits) {
   Matrix probs(logits.rows(), logits.cols());
   for (int r = 0; r < logits.rows(); ++r) {
-    const float* in = logits.Row(r);
-    float* out = probs.Row(r);
-    float max_v = -1e30f;
-    for (int c = 0; c < logits.cols(); ++c) max_v = std::max(max_v, in[c]);
-    float sum = 0;
-    for (int c = 0; c < logits.cols(); ++c) {
-      out[c] = std::exp(in[c] - max_v);
-      sum += out[c];
-    }
-    for (int c = 0; c < logits.cols(); ++c) out[c] /= sum;
+    SoftmaxRowInto(logits.Row(r), logits.cols(), probs.Row(r));
   }
   return probs;
+}
+
+void SoftmaxRowInto(const float* in, int n, float* out) {
+  float max_v = -1e30f;
+  for (int c = 0; c < n; ++c) max_v = std::max(max_v, in[c]);
+  float sum = 0;
+  for (int c = 0; c < n; ++c) {
+    out[c] = std::exp(in[c] - max_v);
+    sum += out[c];
+  }
+  for (int c = 0; c < n; ++c) out[c] /= sum;
 }
 
 }  // namespace fieldswap

@@ -1,9 +1,11 @@
 #ifndef FIELDSWAP_NN_OPS_H_
 #define FIELDSWAP_NN_OPS_H_
 
+#include <memory>
 #include <vector>
 
 #include "nn/autodiff.h"
+#include "nn/neighbors.h"
 
 namespace fieldswap {
 
@@ -15,12 +17,13 @@ Var LayerNorm(const Var& x, const Var& gain, const Var& bias,
 /// Sparse single-head scaled dot-product attention.
 ///
 /// q, k, v are [T, d]. For each row i, attention is computed only over the
-/// key/value rows listed in neighbors[i] (which should include i itself for
-/// self-attention). Passing every index in each list degenerates to full
+/// key/value rows listed in neighbors->Row(i) (which should include i itself
+/// for self-attention). Full lists (NeighborLists::Full) degenerate to full
 /// self-attention; restricted lists implement the off-axis-neighborhood
-/// attention used by the extraction models. Output is [T, d].
+/// attention used by the extraction models. Output is [T, d]. The backward
+/// closure shares `neighbors` rather than copying it.
 Var NeighborAttention(const Var& q, const Var& k, const Var& v,
-                      std::vector<std::vector<int>> neighbors);
+                      std::shared_ptr<const NeighborLists> neighbors);
 
 /// Mean softmax cross-entropy over rows of `logits` [N, C] against integer
 /// `labels` (size N). `class_weights` (size C, optional) rescales each
@@ -38,6 +41,10 @@ Var BinaryCrossEntropyWithLogits(const Var& logits,
 /// differentiable).
 Matrix RowSoftmax(const Matrix& logits);
 
+/// One row of RowSoftmax: the softmax of in[0 .. n) written to out[0 .. n),
+/// with RowSoftmax's exact operation order.
+void SoftmaxRowInto(const float* in, int n, float* out);
+
 /// Graph-free fused LayerNorm forward: the exact arithmetic of
 /// LayerNorm(...)->value without the tape. `out` preshaped like `x`.
 void LayerNormInto(const Matrix& x, const Matrix& gain, const Matrix& bias,
@@ -46,8 +53,7 @@ void LayerNormInto(const Matrix& x, const Matrix& gain, const Matrix& bias,
 /// Graph-free neighbor-attention forward: the exact arithmetic of
 /// NeighborAttention(...)->value without the tape. `out` preshaped [T, d].
 void NeighborAttentionInto(const Matrix& q, const Matrix& k, const Matrix& v,
-                           const std::vector<std::vector<int>>& neighbors,
-                           Matrix& out);
+                           const NeighborLists& neighbors, Matrix& out);
 
 }  // namespace fieldswap
 

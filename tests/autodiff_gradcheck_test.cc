@@ -190,7 +190,7 @@ TEST(GradCheckTest, NeighborAttentionQ) {
   Var v = Constant(RandomMatrix(3, 4, 27));
   Var weights = Constant(RandomMatrix(3, 4, 28));
   CheckGradient(q, [&](const Var& x) {
-    return MeanAll(Mul(NeighborAttention(x, k, v, neighbors), weights));
+    return MeanAll(Mul(NeighborAttention(x, k, v, NeighborLists::FromRows(neighbors)), weights));
   });
 }
 
@@ -201,7 +201,7 @@ TEST(GradCheckTest, NeighborAttentionK) {
   Var v = Constant(RandomMatrix(3, 4, 31));
   Var weights = Constant(RandomMatrix(3, 4, 32));
   CheckGradient(k, [&](const Var& x) {
-    return MeanAll(Mul(NeighborAttention(q, x, v, neighbors), weights));
+    return MeanAll(Mul(NeighborAttention(q, x, v, NeighborLists::FromRows(neighbors)), weights));
   });
 }
 
@@ -212,7 +212,7 @@ TEST(GradCheckTest, NeighborAttentionV) {
   Var v = Parameter(RandomMatrix(3, 4, 35));
   Var weights = Constant(RandomMatrix(3, 4, 36));
   CheckGradient(v, [&](const Var& x) {
-    return MeanAll(Mul(NeighborAttention(q, k, x, neighbors), weights));
+    return MeanAll(Mul(NeighborAttention(q, k, x, NeighborLists::FromRows(neighbors)), weights));
   });
 }
 

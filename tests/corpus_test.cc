@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +24,7 @@
 #include "eval/metrics.h"
 #include "model/sequence_model.h"
 #include "model/trainer.h"
+#include "ocr/line_detector.h"
 #include "par/parallel.h"
 #include "synth/corpus_stream.h"
 #include "synth/domains.h"
@@ -294,6 +296,53 @@ TEST_F(CorpusTest, DecodeDocumentBinaryRejectsHostileBytes) {
   bad[cursor + 3] = '\xff';
   EXPECT_FALSE(doc::DecodeDocumentBinary(bad, &out, &status));
   EXPECT_FALSE(status.ok());
+}
+
+/// The binary decode of `doc`; the reason it was rejected ("" if accepted).
+std::string BinaryGeometryError(const Document& doc) {
+  std::string bytes;
+  doc::EncodeDocumentBinary(doc, &bytes);
+  Document out;
+  doc::CorpusStatus status;
+  if (doc::DecodeDocumentBinary(bytes, &out, &status)) return "";
+  return status.ToString();
+}
+
+Document GeometryDoc(double width, double height, const BBox& box) {
+  Document doc("geo", "t", width, height);
+  doc.AddToken("Total", BBox{10, 20, 40, 30});
+  doc.AddToken("$1.00", box);
+  DetectAndAssignLines(doc);
+  return doc;
+}
+
+TEST(DecodeGeometryTest, AcceptsARealPage) {
+  EXPECT_EQ(BinaryGeometryError(GeometryDoc(612, 792, {50, 20, 80, 30})), "");
+}
+
+TEST(DecodeGeometryTest, RejectsZeroPageWidth) {
+  EXPECT_EQ(BinaryGeometryError(GeometryDoc(0, 792, {50, 20, 80, 30})),
+            "page width must be finite and positive");
+}
+
+TEST(DecodeGeometryTest, RejectsNaNPageHeight) {
+  EXPECT_EQ(BinaryGeometryError(GeometryDoc(
+                612, std::numeric_limits<double>::quiet_NaN(),
+                {50, 20, 80, 30})),
+            "page height must be finite and positive");
+}
+
+TEST(DecodeGeometryTest, RejectsInfiniteBoxCoordinate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(BinaryGeometryError(GeometryDoc(612, 792, {50, 20, inf, 30})),
+            "token 1: box coordinates must be finite");
+}
+
+TEST(DecodeGeometryTest, RejectsNaNBoxCoordinate) {
+  EXPECT_EQ(BinaryGeometryError(GeometryDoc(
+                612, 792,
+                {std::numeric_limits<double>::quiet_NaN(), 20, 80, 30})),
+            "token 1: box coordinates must be finite");
 }
 
 // ---- Registry: identification and actionable failure -----------------------

@@ -345,5 +345,62 @@ TEST(SerializeFuzzTest, HostileDocumentRoundTrips) {
   EXPECT_EQ(parsed->annotations(), doc.annotations());
 }
 
+// ---- Readers reject impossible page geometry ---------------------------------
+//
+// Features divide by the page size and rank tokens by off-axis distance, so
+// a zero-size page or an infinite coordinate would put inf/NaN into the
+// model. Each case below once parsed without complaint.
+
+std::string GeometryJson() {
+  Document doc("geo", "t", 612, 792);
+  doc.AddToken("Total", BBox{10, 20, 40, 30});
+  doc.AddToken("$1.00", BBox{50, 20, 80, 30});
+  DetectAndAssignLines(doc);
+  return DocumentToJson(doc);
+}
+
+/// GeometryJson with the first `from` replaced by `to`; the parse error.
+std::string JsonGeometryError(const std::string& from, const std::string& to) {
+  std::string json = GeometryJson();
+  const size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  json.replace(at, from.size(), to);
+  std::string error;
+  EXPECT_FALSE(DocumentFromJson(json, &error).has_value()) << json;
+  return error;
+}
+
+TEST(DocumentGeometryTest, JsonAcceptsARealPage) {
+  EXPECT_TRUE(DocumentFromJson(GeometryJson()).has_value());
+}
+
+TEST(DocumentGeometryTest, JsonRejectsZeroPageWidth) {
+  EXPECT_NE(JsonGeometryError("\"width\":612.000", "\"width\":0")
+                .find("page width must be finite and positive"),
+            std::string::npos);
+}
+
+TEST(DocumentGeometryTest, JsonRejectsNegativePageHeight) {
+  EXPECT_NE(JsonGeometryError("\"height\":792.000", "\"height\":-792")
+                .find("page height must be finite and positive"),
+            std::string::npos);
+}
+
+TEST(DocumentGeometryTest, JsonRejectsInfinitePageWidth) {
+  // 1e400 overflows a double and parses as +inf.
+  EXPECT_NE(JsonGeometryError("\"width\":612.000", "\"width\":1e400")
+                .find("page width must be finite and positive"),
+            std::string::npos);
+}
+
+TEST(DocumentGeometryTest, JsonRejectsInfiniteBoxCoordinate) {
+  EXPECT_NE(JsonGeometryError("[50.000,", "[-1e400,")
+                .find("token 1: box coordinates must be finite"),
+            std::string::npos);
+  EXPECT_NE(JsonGeometryError(",30.000]", ",1e400]")
+                .find("token 0: box coordinates must be finite"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace fieldswap

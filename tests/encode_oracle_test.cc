@@ -272,11 +272,12 @@ std::vector<EntitySpan> DecodeLogits(const SequenceModelConfig& config_,
 
 /// Row i of the production neighbor lists, as a vector.
 std::vector<int> NeighborRow(const EncodedDoc& encoded, int i) {
-  return encoded.neighbors[static_cast<size_t>(i)];
+  std::span<const int> row = encoded.neighbors->Row(i);
+  return std::vector<int>(row.begin(), row.end());
 }
 
 int NeighborRowCount(const EncodedDoc& encoded) {
-  return static_cast<int>(encoded.neighbors.size());
+  return encoded.neighbors->rows();
 }
 
 std::vector<uint32_t> Bits(const Matrix& m) {

@@ -259,12 +259,12 @@ TEST(KernelParity, NeighborAttentionAcrossBackendsWithinPinnedUlps) {
 
   ASSERT_TRUE(nn::SetKernelBackend("scalar"));
   Matrix ref(t, d);
-  NeighborAttentionInto(q, k, v, neighbors, ref);
+  NeighborAttentionInto(q, k, v, *NeighborLists::FromRows(neighbors), ref);
   for (const std::string& backend : NonScalarBackends()) {
     SCOPED_TRACE(backend);
     ASSERT_TRUE(nn::SetKernelBackend(backend));
     Matrix out(t, d);
-    NeighborAttentionInto(q, k, v, neighbors, out);
+    NeighborAttentionInto(q, k, v, *NeighborLists::FromRows(neighbors), out);
     EXPECT_LE(MaxUlpAtScale(out, ref), kAttentionUlpBound);
   }
 }

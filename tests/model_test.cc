@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+
 #include "model/annotators.h"
 #include "model/candidate_model.h"
 #include "model/options.h"
@@ -32,7 +35,7 @@ TEST(FeaturesTest, BucketsStableAndBounded) {
 }
 
 TEST(FeaturesTest, PositionFeaturesNormalized) {
-  std::vector<float> feats =
+  std::array<float, kNumPositionFeatures> feats =
       PositionFeatures(BBox{306, 396, 326, 416}, 612, 792);
   ASSERT_EQ(feats.size(), static_cast<size_t>(kNumPositionFeatures));
   EXPECT_NEAR(feats[0], 0.516, 1e-2);
@@ -42,7 +45,8 @@ TEST(FeaturesTest, PositionFeaturesNormalized) {
 TEST(FeaturesTest, RelativeFeaturesSigns) {
   BBox anchor{100, 100, 120, 110};
   BBox right_of{200, 100, 220, 110};
-  std::vector<float> feats = RelativeFeatures(anchor, right_of, 612, 792);
+  std::array<float, kNumRelativeFeatures> feats =
+      RelativeFeatures(anchor, right_of, 612, 792);
   ASSERT_EQ(feats.size(), static_cast<size_t>(kNumRelativeFeatures));
   EXPECT_GT(feats[0], 0) << "dx positive for rightward neighbor";
   EXPECT_NEAR(feats[1], 0, 1e-6) << "dy zero for same row";
@@ -245,13 +249,12 @@ TEST(SequenceModelTest, EncodeDocShapesAndLabels) {
   EXPECT_EQ(encoded.num_tokens, doc.num_tokens());
   EXPECT_EQ(encoded.text_ids.size(), static_cast<size_t>(encoded.num_tokens));
   EXPECT_EQ(encoded.labels.size(), static_cast<size_t>(encoded.num_tokens));
-  EXPECT_EQ(encoded.neighbors.size(),
-            static_cast<size_t>(encoded.num_tokens));
+  ASSERT_NE(encoded.neighbors, nullptr);
+  EXPECT_EQ(encoded.neighbors->rows(), encoded.num_tokens);
   // Every token's neighbor list contains itself.
   for (int i = 0; i < encoded.num_tokens; ++i) {
-    EXPECT_NE(std::find(encoded.neighbors[static_cast<size_t>(i)].begin(),
-                        encoded.neighbors[static_cast<size_t>(i)].end(), i),
-              encoded.neighbors[static_cast<size_t>(i)].end());
+    std::span<const int> row = encoded.neighbors->Row(i);
+    EXPECT_NE(std::find(row.begin(), row.end(), i), row.end());
   }
   // Labels are consistent with annotations.
   int labeled = 0;

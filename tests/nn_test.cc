@@ -395,7 +395,7 @@ TEST(LayersTest, TransformerBlockPreservesShape) {
   Rng rng(4);
   TransformerBlock block(16, rng, "b");
   Var x = Constant(Matrix::Gaussian(5, 16, 1.0f, rng));
-  Var y = block.Apply(x, FullAttentionNeighbors(5));
+  Var y = block.Apply(x, NeighborLists::Full(5));
   EXPECT_EQ(y->value.rows(), 5);
   EXPECT_EQ(y->value.cols(), 16);
 }
@@ -432,7 +432,7 @@ TEST(OpsTest, NeighborAttentionSelfOnlyIsIdentityOnV) {
   Var k = Constant(Matrix::Gaussian(3, 4, 1.0f, rng));
   Var vv = Constant(v);
   std::vector<std::vector<int>> self_only{{0}, {1}, {2}};
-  Var out = NeighborAttention(q, k, vv, self_only);
+  Var out = NeighborAttention(q, k, vv, NeighborLists::FromRows(self_only));
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 4; ++c) {
       EXPECT_NEAR(out->value.At(r, c), v.At(r, c), 1e-5);
