@@ -1,6 +1,5 @@
 #include "doc/bbox.h"
 
-#include <cmath>
 #include <cstdio>
 
 namespace fieldswap {
@@ -10,14 +9,6 @@ std::string BBox::DebugString() const {
   std::snprintf(buf, sizeof(buf), "[%.1f,%.1f %.1fx%.1f]", x_min, y_min,
                 Width(), Height());
   return buf;
-}
-
-double OffAxisDistance(double ax, double ay, double bx, double by) {
-  return std::fabs(ax - bx) * std::fabs(ay - by);
-}
-
-double OffAxisDistance(const BBox& a, const BBox& b) {
-  return OffAxisDistance(a.CenterX(), a.CenterY(), b.CenterX(), b.CenterY());
 }
 
 }  // namespace fieldswap

@@ -2,6 +2,7 @@
 #define FIELDSWAP_DOC_BBOX_H_
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace fieldswap {
@@ -49,11 +50,16 @@ struct BBox {
 
 /// The paper's off-axis distance between two points (Sec. II-A2):
 /// |a_x - b_x| * |a_y - b_y|. Near zero when the points are aligned on
-/// either axis; large when they are diagonal to each other.
-double OffAxisDistance(double ax, double ay, double bx, double by);
+/// either axis; large when they are diagonal to each other. Inline: the
+/// neighbor search evaluates it for every pair of tokens.
+inline double OffAxisDistance(double ax, double ay, double bx, double by) {
+  return std::fabs(ax - bx) * std::fabs(ay - by);
+}
 
 /// Off-axis distance between box centers.
-double OffAxisDistance(const BBox& a, const BBox& b);
+inline double OffAxisDistance(const BBox& a, const BBox& b) {
+  return OffAxisDistance(a.CenterX(), a.CenterY(), b.CenterX(), b.CenterY());
+}
 
 }  // namespace fieldswap
 

@@ -49,6 +49,11 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
   return std::aligned_alloc(alignment, rounded);
 }
 
+// Out of line so that GCC, inlining an operator delete below, does not pair
+// this free() with the builtin operator new and warn
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void Release(void* p) { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -73,17 +78,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   if (void* p = CountedAlignedAlloc(size, align)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { Release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 
 namespace fieldswap {
