@@ -45,9 +45,7 @@ inline std::string SlugFromArtifact(const std::string& artifact) {
 /// Version of the `.metrics.json` sidecar layout every bench binary emits.
 /// v1 was the unversioned {bench, wall_time_s, peak_rss_kb, metrics} shape;
 /// v2 adds this field, the aggregated span profile, and the
-/// `fieldswap.process.*` gauges. tools/bench_trajectory consumes this
-/// schema — bump the number when the layout changes and teach
-/// obs::SummarizeSidecar to read the old one.
+/// `fieldswap.process.*` gauges. Bump the number when the layout changes.
 inline constexpr int kSidecarSchemaVersion = 2;
 
 /// Writes the standardized bench sidecar: schema version, wall time, peak

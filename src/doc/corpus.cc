@@ -762,20 +762,5 @@ std::vector<Document> ReadAllDocuments(const CorpusReader& reader) {
   return docs;
 }
 
-uint64_t ApproxMemoryBytes(const Document& doc) {
-  uint64_t bytes = sizeof(Document);
-  bytes += doc.id().capacity() + doc.domain().capacity();
-  for (const Token& tok : doc.tokens()) {
-    bytes += sizeof(Token) + tok.text.capacity();
-  }
-  for (const Line& line : doc.lines()) {
-    bytes += sizeof(Line) + line.token_indices.capacity() * sizeof(int);
-  }
-  for (const EntitySpan& span : doc.annotations()) {
-    bytes += sizeof(EntitySpan) + span.field.capacity();
-  }
-  return bytes;
-}
-
 }  // namespace doc
 }  // namespace fieldswap

@@ -158,8 +158,8 @@ class VectorCorpusWriter : public CorpusWriter {
   CorpusStatus status_;
 };
 
-/// Prefix view over another reader (`fieldswap_corpus convert --limit`,
-/// capped eval legs in bench/corpus_stream). The base must outlive it.
+/// Prefix view over another reader (`fieldswap_corpus convert --limit`).
+/// The base must outlive it.
 class CorpusSlice : public CorpusReader {
  public:
   CorpusSlice(const CorpusReader& base, size_t limit)
@@ -325,12 +325,6 @@ uint64_t CorpusChecksum(const CorpusReader& reader,
 /// sites. Deliberately unbounded; prefer BlockedMapDocuments for large
 /// corpora.
 std::vector<Document> ReadAllDocuments(const CorpusReader& reader);
-
-/// Rough in-memory footprint of a materialized document (strings, tokens,
-/// lines, annotations). bench/corpus_stream sums this over a streamed
-/// corpus to estimate the materialized-vector RSS baseline its bounded-
-/// memory assertion compares against.
-uint64_t ApproxMemoryBytes(const Document& doc);
 
 }  // namespace doc
 }  // namespace fieldswap

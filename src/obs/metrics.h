@@ -29,8 +29,8 @@ struct HistogramData {
 /// Estimates the q-quantile (q in [0,1]) of a histogram by linear
 /// interpolation inside the bucket holding the target rank, clamped to the
 /// observed [min, max]; ranks landing in the overflow bucket return max.
-/// Deterministic for a fixed bucket state — the bench trajectory comparator
-/// relies on this to gate tail latency (p99) from exported bounds+counts.
+/// Deterministic for a fixed bucket state, so the p50/p90/p99 an export
+/// prints are a pure function of its exported bounds+counts.
 double HistogramQuantile(const HistogramData& hist, double q);
 
 /// Point-in-time copy of a registry, safe to read without locking.

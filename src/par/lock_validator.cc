@@ -7,6 +7,8 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -49,11 +51,26 @@ struct EdgeWitness {
   std::string chain;
 };
 
+/// Orders edges by (from, to) name. Transparent, so a nested acquisition
+/// looks its edge up by string_view and allocates only to record a new one.
+struct EdgeLess {
+  using is_transparent = void;
+  using View = std::pair<std::string_view, std::string_view>;
+  static View AsView(const std::pair<std::string, std::string>& edge) {
+    return {edge.first, edge.second};
+  }
+  static View AsView(const View& edge) { return edge; }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return AsView(a) < AsView(b);
+  }
+};
+
 /// Global acquisition graph. g_graph_mu guards g_edges; it is a plain
 /// std::mutex (never an OrderedMutex — the validator cannot validate
 /// itself without recursing).
 std::mutex g_graph_mu;
-std::map<std::pair<std::string, std::string>, EdgeWitness> g_edges;
+std::map<std::pair<std::string, std::string>, EdgeWitness, EdgeLess> g_edges;
 
 void DefaultFailureHandler(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
@@ -75,15 +92,17 @@ bool EnvEnabled() {
 }
 
 /// True when `from` can reach `to` in g_edges. Caller holds g_graph_mu.
-/// Appends the path's witness chains (one per edge) to `chains`.
-bool FindPathLocked(const std::string& from, const std::string& to,
+/// On success appends the path's witness chains (one per edge, in path
+/// order) to `chains`; a search that finds no path allocates nothing.
+bool FindPathLocked(std::string_view from, std::string_view to,
                     std::vector<std::string>* chains) {
   if (from == to) return true;
-  for (const auto& [edge, witness] : g_edges) {
-    if (edge.first != from) continue;
-    chains->push_back(witness.chain);
-    if (FindPathLocked(edge.second, to, chains)) return true;
-    chains->pop_back();
+  for (auto it = g_edges.lower_bound(EdgeLess::View{from, {}});
+       it != g_edges.end() && it->first.first == from; ++it) {
+    if (FindPathLocked(it->first.second, to, chains)) {
+      chains->insert(chains->begin(), it->second.chain);
+      return true;
+    }
   }
   return false;
 }
@@ -156,10 +175,10 @@ void LockValidator::OnAcquire(const void* mutex, const char* name) {
     }
     if (failure.empty()) {
       for (const HeldLock& held : t_held) {
-        auto key = std::make_pair(std::string(held.name), std::string(name));
-        if (g_edges.find(key) == g_edges.end()) {
-          g_edges.emplace(std::move(key),
-                          EdgeWitness{HeldChainString(name)});
+        if (g_edges.find(EdgeLess::View{held.name, name}) == g_edges.end()) {
+          g_edges.emplace(
+              std::make_pair(std::string(held.name), std::string(name)),
+              EdgeWitness{HeldChainString(name)});
           obs::CounterAdd("fieldswap.par.lockval.edges");
         }
       }

@@ -383,33 +383,5 @@ int64_t MultiTenantServer::batches_run() const {
   return batches_run_;
 }
 
-ShardedTenantService::ShardedTenantService(
-    std::shared_ptr<ModelRegistry> registry, int num_shards,
-    ServeOptions options) {
-  FS_CHECK(num_shards >= 1)
-      << "ShardedTenantService needs at least one shard, got " << num_shards;
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<MultiTenantServer>(registry, options));
-  }
-}
-
-int ShardedTenantService::ShardFor(const Document& doc) const {
-  return static_cast<int>(DocContentHash(doc) % shards_.size());
-}
-
-ExtractResponse ShardedTenantService::Extract(const std::string& tenant,
-                                              const Document& doc,
-                                              double deadline_ms) {
-  return shards_[static_cast<size_t>(ShardFor(doc))]->Extract(tenant, doc,
-                                                              deadline_ms);
-}
-
-void ShardedTenantService::Shutdown() {
-  for (std::unique_ptr<MultiTenantServer>& shard : shards_) {
-    shard->Shutdown();
-  }
-}
-
 }  // namespace serve
 }  // namespace fieldswap

@@ -178,33 +178,6 @@ class MultiTenantServer {
   LruCache<std::vector<EntitySpan>> result_cache_;
 };
 
-/// N in-process serving shards over one shared registry. Documents route
-/// to a shard by content hash, so routing is deterministic and
-/// re-submissions of the same page always land on the same shard's
-/// caches. With flat snapshots (serve/flat_snapshot.h) published into the
-/// shared registry, all shards read one mmap'd weight copy — the
-/// in-process analogue of N server processes mapping the same file.
-class ShardedTenantService {
- public:
-  ShardedTenantService(std::shared_ptr<ModelRegistry> registry,
-                       int num_shards, ServeOptions options = {});
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  MultiTenantServer& shard(int index) { return *shards_[index]; }
-
-  /// Deterministic routing: DocContentHash(doc) % num_shards.
-  int ShardFor(const Document& doc) const;
-
-  /// Extract on the document's home shard.
-  ExtractResponse Extract(const std::string& tenant, const Document& doc,
-                          double deadline_ms = -1);
-
-  void Shutdown();
-
- private:
-  std::vector<std::unique_ptr<MultiTenantServer>> shards_;
-};
-
 }  // namespace serve
 }  // namespace fieldswap
 

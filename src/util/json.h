@@ -10,14 +10,14 @@
 namespace fieldswap {
 namespace util {
 
-/// Small generic JSON document model used by the perf-observability layer
-/// (bench sidecars, BENCH_<n>.json trajectory files) and anything else that
-/// needs to *consume* JSON rather than just emit it. Objects are stored in
-/// a std::map, so key order is always sorted: Parse -> Dump is a
-/// canonicalizing round trip, which is exactly what diff-friendly
-/// trajectory files need. Numbers are doubles; integral values within the
-/// exact-double range dump without a decimal point, everything else dumps
-/// via shortest-round-trip formatting, so Dump(Parse(Dump(x))) == Dump(x).
+/// Small generic JSON document model: span profiles are built with it,
+/// flat-snapshot metadata built and parsed, synthetic corpus specs and
+/// tenant manifests parsed. Objects are stored in a std::map, so key order is always
+/// sorted: Parse -> Dump is a canonicalizing round trip, which keeps emitted
+/// artifacts diff-friendly.
+/// Numbers are doubles; integral values within the exact-double range dump
+/// without a decimal point, everything else dumps via shortest-round-trip
+/// formatting, so Dump(Parse(Dump(x))) == Dump(x).
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

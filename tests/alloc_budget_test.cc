@@ -7,8 +7,13 @@
 // operator-new calls any single operation made to stay within the budget
 // checked in at tools/alloc_budgets.txt. A change may lower a budget; one
 // that raises a budget loosens this check and has to say so.
+//
+// The allocator also tracks live heap bytes (malloc_usable_size) and their
+// peak, which pins the bounded-memory claim of corpus streaming without
+// reading the process RSS.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -17,27 +22,44 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "doc/corpus.h"
 #include "model/sequence_model.h"
 #include "nn/autodiff.h"
 #include "nn/optimizer.h"
 #include "par/parallel.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "synth/corpus_stream.h"
 #include "synth/domains.h"
 #include "synth/generator.h"
 
 namespace {
 
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_live_bytes{0};
+std::atomic<long> g_peak_live_bytes{0};
+
+void* Track(void* p) {
+  if (p == nullptr) return p;
+  const long usable = static_cast<long>(malloc_usable_size(p));
+  const long live =
+      g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
+  long peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
 
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return Track(std::malloc(size == 0 ? 1 : size));
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
@@ -46,13 +68,17 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded =
       (std::max<std::size_t>(size, 1) + alignment - 1) / alignment * alignment;
-  return std::aligned_alloc(alignment, rounded);
+  return Track(std::aligned_alloc(alignment, rounded));
 }
 
 // Out of line so that GCC, inlining an operator delete below, does not pair
 // this free() with the builtin operator new and warn
 // (-Wmismatched-new-delete).
-[[gnu::noinline]] void Release(void* p) { std::free(p); }
+[[gnu::noinline]] void Release(void* p) {
+  g_live_bytes.fetch_sub(static_cast<long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -119,6 +145,14 @@ long CountAllocations(const std::function<void()>& op) {
   const long before = g_allocations.load(std::memory_order_relaxed);
   op();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// Most live heap bytes above the starting level while `op` runs.
+long PeakLiveBytes(const std::function<void()>& op) {
+  const long base = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(base, std::memory_order_relaxed);
+  op();
+  return g_peak_live_bytes.load(std::memory_order_relaxed) - base;
 }
 
 class AllocBudgetTest : public ::testing::Test {
@@ -237,6 +271,58 @@ TEST_F(AllocBudgetTest, CacheHitThroughExtractionServer) {
     }
     return most;
   });
+}
+
+// Streaming holds one block of documents at a time, so the peak live heap
+// while CorpusChecksum streams a native corpus of 4N documents stays within
+// a small slack of the peak at N. A checksum that materialized the corpus
+// (doc::ReadAllDocuments) would grow its peak with the corpus. Measured at
+// one thread: with more, the peak depends on which documents of a block the
+// pool happens to hold at once, and varies from run to run.
+TEST_F(AllocBudgetTest, CorpusChecksumStreamsInBoundedMemory) {
+  constexpr size_t kBlock = 16;
+  constexpr int kDocs = 64;
+  auto open_native = [&](int count) {
+    const std::string path = ::testing::TempDir() + "/alloc_budget_stream_" +
+                             std::to_string(count) + ".fsc";
+    std::unique_ptr<doc::CorpusReader> source =
+        synth::MakeSyntheticCorpusReader(*spec_, count, 602, "stream");
+    std::unique_ptr<doc::CorpusWriter> writer =
+        doc::CreateCorpus(path, "native");
+    if (writer == nullptr) {
+      ADD_FAILURE() << "cannot create " << path;
+      return std::unique_ptr<doc::CorpusReader>();
+    }
+    doc::ForEachDocument(*source, [&](const Document& document, size_t) {
+      EXPECT_TRUE(writer->Add(document));
+    });
+    EXPECT_TRUE(writer->Finish());
+    doc::CorpusStatus status;
+    std::unique_ptr<doc::CorpusReader> reader =
+        doc::OpenCorpus(path, "native", &status);
+    EXPECT_NE(reader, nullptr) << status.ToString();
+    std::remove(path.c_str());  // the reader keeps the open file
+    return reader;
+  };
+  std::unique_ptr<doc::CorpusReader> small = open_native(kDocs);
+  std::unique_ptr<doc::CorpusReader> large = open_native(4 * kDocs);
+  ASSERT_NE(small, nullptr);
+  ASSERT_NE(large, nullptr);
+  ASSERT_EQ(large->size(), static_cast<size_t>(4 * kDocs));
+
+  const int saved = par::Threads();
+  par::SetThreads(1);
+  const long peak_small =
+      PeakLiveBytes([&] { doc::CorpusChecksum(*small, kBlock); });
+  const long peak_large =
+      PeakLiveBytes([&] { doc::CorpusChecksum(*large, kBlock); });
+  par::SetThreads(saved);
+  std::printf("stream peak live bytes: %ld at %d docs, %ld at %d docs\n",
+              peak_small, kDocs, peak_large, 4 * kDocs);
+  EXPECT_GT(peak_small, 0);
+  EXPECT_LE(peak_large, peak_small + peak_small / 4)
+      << "streaming 4x the documents raised the peak live heap from "
+      << peak_small << " to " << peak_large << " bytes";
 }
 
 }  // namespace

@@ -157,12 +157,14 @@ TEST(LayerGraph, RealManifestParsesAndEncodesDesignRules) {
       << "the bridge points one way: doc -> doc/formats";
   EXPECT_FALSE(layers.Allowed("doc/formats", "par"));
   EXPECT_FALSE(layers.Allowed("doc/formats", "obs"));
-  // Outside src/, only the facade (plus serve/obs/util conveniences) is
-  // reachable — internals must come through api/fieldswap_api.h or
-  // api/internals.h.
+  // Outside src/, only the facade (plus obs/util conveniences, and serve
+  // for examples and tools) is reachable — internals must come through
+  // api/fieldswap_api.h or api/internals.h.
+  EXPECT_FALSE(layers.Allowed("bench", "serve"));
+  EXPECT_TRUE(layers.Allowed("examples", "serve"));
+  EXPECT_TRUE(layers.Allowed("tools", "serve"));
   for (const char* outside : {"bench", "examples", "tools"}) {
     EXPECT_TRUE(layers.Allowed(outside, "api")) << outside;
-    EXPECT_TRUE(layers.Allowed(outside, "serve")) << outside;
     EXPECT_TRUE(layers.Allowed(outside, "util")) << outside;
     EXPECT_FALSE(layers.Allowed(outside, "model")) << outside;
     EXPECT_FALSE(layers.Allowed(outside, "core")) << outside;
@@ -187,7 +189,7 @@ TEST(LayerGraph, LayerForPath) {
   EXPECT_EQ(layers.LayerForPath("src/mystery/x.cc"), "");
   // Declared top-level directories are layers too; undeclared ones
   // (tests/) stay outside the graph.
-  EXPECT_EQ(layers.LayerForPath("bench/par_scaling.cc"), "bench");
+  EXPECT_EQ(layers.LayerForPath("bench/attack_sweep.cc"), "bench");
   EXPECT_EQ(layers.LayerForPath("examples/quickstart.cpp"), "examples");
   EXPECT_EQ(layers.LayerForPath("tools/fslint.cc"), "tools");
   EXPECT_EQ(layers.LayerForPath("tests/lint_test.cc"), "");
@@ -386,15 +388,18 @@ TEST(FslintLayering, BenchAndExamplesMustGoThroughTheFacade) {
             expected);
   EXPECT_EQ(LinesAndRules(LintSource("tools/x.cc", internal, &layers)),
             expected);
-  // The sanctioned surface passes: api facade, serve, obs, util.
+  // The sanctioned surface passes: api facade, obs, util, and serve for
+  // examples (benches reach serving through the facade).
   const std::string sanctioned =
       "#include \"api/fieldswap_api.h\"\n"
-      "#include \"serve/server.h\"\n"
       "#include \"obs/metrics.h\"\n"
       "#include \"util/table.h\"\n";
+  const std::string serve = "#include \"serve/server.h\"\n";
   EXPECT_TRUE(LintSource("bench/x.cc", sanctioned, &layers)
                   .diagnostics.empty());
-  EXPECT_TRUE(LintSource("examples/x.cpp", sanctioned, &layers)
+  EXPECT_EQ(LinesAndRules(LintSource("bench/x.cc", serve, &layers)),
+            (Expected{{1, "layering"}}));
+  EXPECT_TRUE(LintSource("examples/x.cpp", sanctioned + serve, &layers)
                   .diagnostics.empty());
   // Local includes without a slash (bench_util.h) are never layer edges.
   EXPECT_TRUE(LintSource("bench/x.cc", "#include \"bench_util.h\"\n",

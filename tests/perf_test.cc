@@ -1,18 +1,16 @@
 // Performance-observability tests: the util JSON model, histogram
-// quantiles and the pinned export format, the span profiler (self vs total
-// time, deterministic ordering, thread-merged aggregation), and the
-// trajectory comparator (regression / within-tolerance / missing-metric
-// semantics behind tools/bench_trajectory).
+// quantiles and the pinned export format, and the span profiler (self vs
+// total time, deterministic ordering, thread-merged aggregation).
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "obs/trajectory.h"
 #include "par/parallel.h"
 #include "util/json.h"
 
@@ -20,13 +18,8 @@ namespace fieldswap {
 namespace {
 
 using obs::BuildProfile;
-using obs::ClassifyMetric;
-using obs::CompareOptions;
-using obs::CompareReport;
-using obs::CompareTrajectories;
 using obs::HistogramData;
 using obs::HistogramQuantile;
-using obs::MetricClass;
 using obs::MetricsRegistry;
 using obs::ProfileEntry;
 using obs::ProfileReport;
@@ -125,7 +118,7 @@ TEST(HistogramQuantileTest, EmptyAndClampedInputs) {
 
 // Pins the histogram export wire format: explicit bucket bounds and
 // per-bucket counts (not just summary stats) plus derived quantiles, so
-// the trajectory comparator can gate tail latency from exported data.
+// tail latency can be read back from exported data.
 TEST(HistogramExportTest, JsonFormatIsPinned) {
   MetricsRegistry registry;
   registry.HistogramObserve("fieldswap.test.lat_ms", 1.0, {1.0, 2.0});
@@ -268,180 +261,6 @@ TEST(ProfilerTest, ProcessStatsSample) {
             registry.GaugeValue("fieldswap.process.heap_in_use_kb") == 0
                 ? 0
                 : registry.GaugeValue("fieldswap.process.heap_in_use_kb"));
-}
-
-// --------------------------------------------------------------- trajectory
-
-TEST(TrajectoryClassifyTest, VolatileAndExactPaths) {
-  EXPECT_EQ(ClassifyMetric("benches.par_scaling.wall_time_s"),
-            MetricClass::kLowerIsBetter);
-  EXPECT_EQ(ClassifyMetric("benches.x.histograms.latency_ms.p99"),
-            MetricClass::kLowerIsBetter);
-  EXPECT_EQ(ClassifyMetric("benches.x.gauges.fieldswap.bench.micro."
-                           "BM_Sparsemax_24.real_ns"),
-            MetricClass::kLowerIsBetter);
-  EXPECT_EQ(ClassifyMetric("benches.x.peak_rss_kb"),
-            MetricClass::kLowerIsBetter);
-  EXPECT_EQ(ClassifyMetric(
-                "benches.x.gauges.fieldswap.par.bench.encode_pools.speedup"),
-            MetricClass::kHigherIsBetter);
-  EXPECT_EQ(ClassifyMetric("benches.x.gauges.generate_corpus.docs_per_s"),
-            MetricClass::kHigherIsBetter);
-  EXPECT_EQ(ClassifyMetric("benches.x.gauges.fieldswap.synth.docs_per_sec"),
-            MetricClass::kHigherIsBetter);
-  // Deterministic structure: counts stay exact even under a timing parent.
-  EXPECT_EQ(ClassifyMetric("benches.x.histograms.latency_ms.count"),
-            MetricClass::kExact);
-  EXPECT_EQ(ClassifyMetric("benches.x.counters.fieldswap.serve.requests"),
-            MetricClass::kExact);
-  EXPECT_EQ(ClassifyMetric("threads"), MetricClass::kExact);
-  EXPECT_TRUE(obs::IsVolatileMetric("a.self_us"));
-  EXPECT_FALSE(obs::IsVolatileMetric("a.count"));
-}
-
-TEST(TrajectoryCompareTest, WithinToleranceIsOk) {
-  JsonValue base = ParseOrDie(
-      "{\"benches\": {\"b\": {\"wall_time_s\": 10, "
-      "\"counters\": {\"fieldswap.serve.requests\": 96}}}}");
-  JsonValue cand = ParseOrDie(
-      "{\"benches\": {\"b\": {\"wall_time_s\": 11, "
-      "\"counters\": {\"fieldswap.serve.requests\": 96}}}}");
-  CompareReport report = CompareTrajectories(base, cand, CompareOptions{});
-  EXPECT_TRUE(report.ok) << report.ToText();
-  EXPECT_EQ(report.compared_metrics, 2);
-}
-
-TEST(TrajectoryCompareTest, TimingRegressionBeyondToleranceFails) {
-  JsonValue base = ParseOrDie("{\"b\": {\"wall_time_s\": 10}}");
-  JsonValue cand = ParseOrDie("{\"b\": {\"wall_time_s\": 20}}");
-  CompareOptions options;
-  options.tolerance = 0.35;
-  CompareReport report = CompareTrajectories(base, cand, options);
-  ASSERT_FALSE(report.ok);
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].key, "b.wall_time_s");
-  EXPECT_NE(report.regressions[0].reason.find("grew"), std::string::npos);
-  // The same delta passes under a 2x tolerance.
-  options.tolerance = 1.5;
-  EXPECT_TRUE(CompareTrajectories(base, cand, options).ok);
-}
-
-TEST(TrajectoryCompareTest, AbsoluteFloorGuardsZeroBaselines) {
-  // A CPU-time gauge moving off a zero baseline is pure noise; the default
-  // absolute floor (0.05 in the metric's unit) absorbs it.
-  JsonValue base = ParseOrDie("{\"g\": {\"system_cpu_s\": 0}}");
-  JsonValue noise = ParseOrDie("{\"g\": {\"system_cpu_s\": 0.01}}");
-  JsonValue real = ParseOrDie("{\"g\": {\"system_cpu_s\": 5}}");
-  EXPECT_TRUE(CompareTrajectories(base, noise, CompareOptions{}).ok);
-  CompareReport report = CompareTrajectories(base, real, CompareOptions{});
-  ASSERT_FALSE(report.ok);
-  // The huge ratio renders as a clamped, readable percentage.
-  EXPECT_NE(report.regressions[0].reason.find("1000000%"), std::string::npos);
-}
-
-TEST(TrajectoryCompareTest, UnitFloorsAbsorbMicroNoise) {
-  // A 30 us swing in a span self-time or a 0.6 ms queue-wait swing is
-  // scheduler noise; the per-unit floors absorb it even at huge ratios.
-  JsonValue base = ParseOrDie(
-      "{\"p\": {\"spans\": {\"x\": {\"self_us\": 27}}, "
-      "\"queue_wait_ms\": {\"p50\": 0.2}}}");
-  JsonValue cand = ParseOrDie(
-      "{\"p\": {\"spans\": {\"x\": {\"self_us\": 54}}, "
-      "\"queue_wait_ms\": {\"p50\": 0.8}}}");
-  EXPECT_TRUE(CompareTrajectories(base, cand, CompareOptions{}).ok);
-  // The same ratio above the floor still fails.
-  JsonValue big_base = ParseOrDie("{\"lat_ms\": {\"p99\": 40}}");
-  JsonValue big_cand = ParseOrDie("{\"lat_ms\": {\"p99\": 80}}");
-  EXPECT_FALSE(CompareTrajectories(big_base, big_cand, CompareOptions{}).ok);
-}
-
-TEST(TrajectoryCompareTest, HistogramExtremesAreNotesNotRegressions) {
-  JsonValue base = ParseOrDie("{\"step_ms\": {\"max\": 1.7, \"p50\": 1.0}}");
-  JsonValue cand = ParseOrDie("{\"step_ms\": {\"max\": 9.0, \"p50\": 1.1}}");
-  CompareReport report = CompareTrajectories(base, cand, CompareOptions{});
-  EXPECT_TRUE(report.ok) << report.ToText();
-  ASSERT_EQ(report.notes.size(), 1u);
-  EXPECT_NE(report.notes[0].find("step_ms.max"), std::string::npos);
-}
-
-TEST(TrajectoryCompareTest, HigherIsBetterDirection) {
-  JsonValue base = ParseOrDie("{\"g\": {\"x.speedup\": 4}}");
-  JsonValue faster = ParseOrDie("{\"g\": {\"x.speedup\": 8}}");
-  JsonValue slower = ParseOrDie("{\"g\": {\"x.speedup\": 2}}");
-  EXPECT_TRUE(CompareTrajectories(base, faster, CompareOptions{}).ok);
-  EXPECT_FALSE(CompareTrajectories(base, slower, CompareOptions{}).ok);
-}
-
-TEST(TrajectoryCompareTest, ExactMetricDriftFails) {
-  JsonValue base = ParseOrDie("{\"counters\": {\"fieldswap.docs\": 60}}");
-  JsonValue cand = ParseOrDie("{\"counters\": {\"fieldswap.docs\": 61}}");
-  CompareReport report = CompareTrajectories(base, cand, CompareOptions{});
-  ASSERT_FALSE(report.ok);
-  EXPECT_NE(report.regressions[0].reason.find("deterministic"),
-            std::string::npos);
-}
-
-TEST(TrajectoryCompareTest, MissingAndNewMetricHandling) {
-  JsonValue base = ParseOrDie("{\"m\": {\"old_counter\": 1}}");
-  JsonValue cand = ParseOrDie("{\"m\": {\"new_counter\": 1}}");
-  CompareReport report = CompareTrajectories(base, cand, CompareOptions{});
-  ASSERT_FALSE(report.ok);
-  EXPECT_EQ(report.regressions[0].key, "m.old_counter");
-  EXPECT_NE(report.regressions[0].reason.find("missing"), std::string::npos);
-  ASSERT_EQ(report.notes.size(), 1u);
-  EXPECT_NE(report.notes[0].find("m.new_counter"), std::string::npos);
-
-  CompareOptions lenient;
-  lenient.fail_on_missing = false;
-  EXPECT_TRUE(CompareTrajectories(base, cand, lenient).ok);
-}
-
-TEST(TrajectoryCompareTest, IndexAndStringsDoNotParticipate) {
-  JsonValue base =
-      ParseOrDie("{\"index\": 1, \"git_sha\": \"aaa\", \"threads\": 4}");
-  JsonValue cand =
-      ParseOrDie("{\"index\": 2, \"git_sha\": \"bbb\", \"threads\": 4}");
-  EXPECT_TRUE(CompareTrajectories(base, cand, CompareOptions{}).ok);
-}
-
-TEST(TrajectorySummarizeTest, SidecarCollapsesToTrajectoryShape) {
-  // A miniature schema-v2 sidecar as bench_util.h writes it.
-  JsonValue sidecar = ParseOrDie(
-      "{\"schema_version\": 2, \"bench\": \"demo\", \"wall_time_s\": 1.5, "
-      "\"peak_rss_kb\": 2048, \"metrics\": {"
-      "\"counters\": {\"fieldswap.serve.requests\": 96}, "
-      "\"gauges\": {\"fieldswap.par.bench.threads\": 4}, "
-      "\"histograms\": {\"fieldswap.serve.latency_ms\": "
-      "{\"count\": 3, \"sum\": 8, \"min\": 1, \"max\": 5, "
-      "\"bounds\": [1, 2], \"buckets\": [1, 1, 1]}}}, "
-      "\"profile\": {\"schema_version\": 1, \"total_spans\": 7, "
-      "\"dropped_spans\": 0, \"spans\": {\"serve.batch\": "
-      "{\"count\": 6, \"total_us\": 900, \"self_us\": 100}}}}");
-  std::optional<JsonValue> summary = obs::SummarizeSidecar(sidecar);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->Find("wall_time_s")->number_value(), 1.5);
-  EXPECT_EQ(summary->Find("peak_rss_kb")->number_value(), 2048.0);
-  EXPECT_EQ(summary->Find("counters")
-                ->Find("fieldswap.serve.requests")
-                ->number_value(),
-            96.0);
-  const JsonValue* hist =
-      summary->Find("histograms")->Find("fieldswap.serve.latency_ms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->Find("count")->number_value(), 3.0);
-  // p99 re-derived from the exported bounds+buckets lands in the overflow
-  // bucket -> observed max.
-  EXPECT_EQ(hist->Find("p99")->number_value(), 5.0);
-  const JsonValue* span =
-      summary->Find("profile")->Find("spans")->Find("serve.batch");
-  ASSERT_NE(span, nullptr);
-  EXPECT_EQ(span->Find("count")->number_value(), 6.0);
-  // Raw bounds/buckets arrays do not survive into the trajectory file.
-  EXPECT_EQ(hist->Find("bounds"), nullptr);
-
-  // Malformed sidecars are rejected, not half-read.
-  EXPECT_FALSE(obs::SummarizeSidecar(ParseOrDie("{\"bench\": \"x\"}"))
-                   .has_value());
 }
 
 }  // namespace

@@ -376,6 +376,15 @@ TEST(MultiTenantServerTest, FloodingTenantCannotStarveOthersPastQuotaBound) {
   options.max_batch = 4;
   std::vector<Document> corpus = TestCorpus(8);
 
+  // Each victim's ground truth: its own model's solo Predict per document.
+  std::vector<std::vector<std::vector<EntitySpan>>> expected(victims.size());
+  for (size_t v = 0; v < victims.size(); ++v) {
+    SequenceLabelingModel model = TestModel(10 + v);
+    for (const Document& doc : corpus) {
+      expected[v].push_back(model.Predict(doc));
+    }
+  }
+
   MultiTenantServer fair_server(registry, options);
   int hot_rejected = 0;
   for (int round = 0; round < 6; ++round) {
@@ -387,16 +396,25 @@ TEST(MultiTenantServerTest, FloodingTenantCannotStarveOthersPastQuotaBound) {
                                            corpus.size()]));
     }
     // Victims submit a modest burst, within their quantum.
-    std::vector<int64_t> victim_ids;
-    for (const std::string& victim : victims) {
+    struct VictimRequest {
+      int64_t id;
+      size_t victim;
+      size_t doc;
+    };
+    std::vector<VictimRequest> victim_requests;
+    for (size_t v = 0; v < victims.size(); ++v) {
       for (int i = 0; i < 2; ++i) {
-        victim_ids.push_back(fair_server.Submit(
-            victim, corpus[static_cast<size_t>(round * 2 + i) %
-                           corpus.size()]));
+        const size_t doc = static_cast<size_t>(round * 2 + i) % corpus.size();
+        victim_requests.push_back(
+            {fair_server.Submit(victims[v], corpus[doc]), v, doc});
       }
     }
-    for (int64_t id : victim_ids) {
-      EXPECT_EQ(fair_server.Wait(id).status, ServeStatus::kOk);
+    for (const VictimRequest& request : victim_requests) {
+      ExtractResponse response = fair_server.Wait(request.id);
+      EXPECT_EQ(response.status, ServeStatus::kOk);
+      EXPECT_EQ(response.spans, expected[request.victim][request.doc])
+          << victims[request.victim] << " diverged from its solo Predict "
+          << "under the flood";
     }
     for (int64_t id : hot_ids) {
       ExtractResponse response = fair_server.Wait(id);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -23,6 +24,7 @@
 #include "obs/trace.h"
 #include "par/parallel.h"
 #include "serve/cache.h"
+#include "serve/flat_snapshot.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -615,39 +617,79 @@ TEST(MultiTenantServerTest, SharedSnapshotTenantsPackIntoOneBatch) {
   server.Shutdown();
 }
 
-// Sharded service: content-hash routing is deterministic, every shard
-// shares the one registry (a publish is visible on all shards), and
-// responses match direct prediction.
-TEST(ShardedTenantServiceTest, RoutesDeterministicallyAndServesAllShards) {
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->Publish("t", MakeSnapshot(TestModel(5)));
-  ShardedTenantService service(registry, 3);
-  EXPECT_EQ(service.num_shards(), 3);
+// The same trace, round-robined over four tenants, takes no more batches
+// when they share one backbone snapshot (packing fills each batch across
+// tenants) than when each has a distinct snapshot of the same weights.
+TEST(MultiTenantServerTest, SharedBackboneNeedsNoMoreBatchesThanDistinct) {
+  const std::vector<std::string> tenants = {"t0", "t1", "t2", "t3"};
+  const size_t trace_len = 48;
+  std::vector<Document> corpus = TestCorpus(6);
   SequenceLabelingModel model = TestModel(5);
-  std::vector<Document> corpus = TestCorpus(9);
+  std::vector<std::vector<EntitySpan>> expected;
+  for (const Document& doc : corpus) expected.push_back(model.Predict(doc));
+  TenantQuota quota;
+  quota.queue_capacity = static_cast<int>(trace_len);
+  quota.batch_quantum = 4;
+  ServeOptions options;
+  options.max_batch = 16;
+  options.queue_capacity = static_cast<int>(trace_len);
 
-  std::set<int> shards_hit;
-  for (const Document& doc : corpus) {
-    int shard = service.ShardFor(doc);
-    EXPECT_EQ(shard, service.ShardFor(doc));  // stable routing
-    EXPECT_GE(shard, 0);
-    EXPECT_LT(shard, 3);
-    shards_hit.insert(shard);
-    ExtractResponse response = service.Extract("t", doc);
-    EXPECT_EQ(response.status, ServeStatus::kOk);
-    EXPECT_EQ(response.spans, model.Predict(doc));
-  }
-  EXPECT_GT(shards_hit.size(), 1u) << "9 docs should spread across shards";
+  auto batches_for = [&](bool shared) {
+    auto registry = std::make_shared<ModelRegistry>();
+    std::shared_ptr<const ModelSnapshot> backbone = MakeSnapshot(model);
+    for (const std::string& tenant : tenants) {
+      registry->Publish(tenant, shared ? backbone : MakeSnapshot(model));
+      registry->SetQuota(tenant, quota);
+    }
+    MultiTenantServer server(registry, options);
+    std::vector<int64_t> ids;
+    for (size_t i = 0; i < trace_len; ++i) {
+      ids.push_back(server.Submit(tenants[i % tenants.size()],
+                                  corpus[i % corpus.size()]));
+    }
+    for (size_t i = 0; i < trace_len; ++i) {
+      ExtractResponse response = server.Wait(ids[i]);
+      EXPECT_EQ(response.status, ServeStatus::kOk);
+      EXPECT_EQ(response.spans, expected[i % corpus.size()])
+          << "shared=" << shared << " request " << i;
+    }
+    return server.batches_run();
+  };
+  const int64_t shared_batches = batches_for(/*shared=*/true);
+  const int64_t distinct_batches = batches_for(/*shared=*/false);
+  EXPECT_LE(shared_batches, distinct_batches);
+}
 
-  // A publish through the shared registry reaches every shard.
-  SequenceLabelingModel v2 = TestModel(6);
-  registry->Publish("t", MakeSnapshot(TestModel(6)));
-  for (const Document& doc : corpus) {
-    ExtractResponse response = service.Extract("t", doc);
-    EXPECT_EQ(response.tenant_version, 2u);
-    EXPECT_EQ(response.spans, v2.Predict(doc));
+// One flat snapshot, written and mapped back once, published to several
+// tenants of one server: every tenant's responses equal Predict of the
+// source model while all of them read the one mapping.
+TEST(MultiTenantServerTest, MappedFlatSnapshotServesEveryTenantLikePredict) {
+  SequenceLabelingModel model = TestModel(5);
+  const std::string path = ::testing::TempDir() + "/serve_test_backbone.fsfl";
+  std::string error;
+  ASSERT_TRUE(WriteFlatSnapshot(path, *MakeSnapshot(model), &error)) << error;
+  std::shared_ptr<const ModelSnapshot> mapped = LoadFlatSnapshot(path, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+
+  const std::vector<std::string> tenants = {"a", "b", "c"};
+  auto registry = std::make_shared<ModelRegistry>();
+  for (const std::string& tenant : tenants) registry->Publish(tenant, mapped);
+  MultiTenantServer server(registry);
+  std::vector<Document> corpus = TestCorpus(6);
+  std::vector<std::pair<int64_t, size_t>> ids;
+  for (size_t doc = 0; doc < corpus.size(); ++doc) {
+    for (const std::string& tenant : tenants) {
+      ids.push_back({server.Submit(tenant, corpus[doc]), doc});
+    }
   }
-  service.Shutdown();
+  for (const auto& [id, doc] : ids) {
+    ExtractResponse response = server.Wait(id);
+    EXPECT_EQ(response.status, ServeStatus::kOk) << response.error;
+    EXPECT_EQ(response.spans, model.Predict(corpus[doc]))
+        << response.tenant << " doc " << doc;
+  }
+  server.Shutdown();
+  std::remove(path.c_str());
 }
 
 // ---- One engine, one vocabulary -------------------------------------------

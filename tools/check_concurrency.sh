@@ -46,7 +46,7 @@ echo "== observed nested acquisitions (each must appear in tools/lock_order.txt)
 echo
 echo "== dynamic: runtime lock validator (FS_VALIDATE_LOCKS=1) =="
 FS_VALIDATE_LOCKS=1 "$TEST_BIN" --gtest_brief=1 \
-  --gtest_filter='LockValidatorTest.*:ParallelTest.*:ParallelDeterminismTest.*:ExtractionServerTest.*:MultiTenantServerTest.*:ModelRegistryTest.*:ShardedTenantServiceTest.*'
+  --gtest_filter='LockValidatorTest.*:ParallelTest.*:ParallelDeterminismTest.*:ExtractionServerTest.*:MultiTenantServerTest.*:ModelRegistryTest.*'
 
 echo
 echo "concurrency gate passed"

@@ -23,19 +23,22 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$REPO_ROOT"
 
 MODE="${1:-both}"
+# A bare -j gives make and ctest no job limit; sanitizer compiles are
+# large, so both steps run one job per CPU.
+JOBS="$(nproc)"
 
 run_config() {
   local name="$1" sanitize="$2" build_dir="build-$1"
   echo "=== [$name] configure + build (FIELDSWAP_SANITIZE=$sanitize) ==="
   cmake -B "$build_dir" -S . -DFIELDSWAP_SANITIZE="$sanitize" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j "$JOBS"
   echo "=== [$name] ctest (FS_VALIDATE_LOCKS=1) ==="
   # The runtime lock validator rides along: every acquisition order the
   # suite executes is checked against the global graph, so an inversion
   # surfaces as a named lock-order violation instead of a TSan-invisible
   # latent deadlock (src/par/lock_validator.h).
-  (cd "$build_dir" && FS_VALIDATE_LOCKS=1 ctest --output-on-failure -j)
+  (cd "$build_dir" && FS_VALIDATE_LOCKS=1 ctest --output-on-failure -j "$JOBS")
   echo "=== [$name] OK ==="
 }
 
